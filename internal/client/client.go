@@ -433,7 +433,7 @@ type File struct {
 	cl    *Client
 	path  string
 	addr  string
-	fh    uint64
+	fh    uint64 // 0 while an inline file has no handle
 	write bool
 	size  int64
 	off   int64 // sequential read/write cursor
@@ -441,7 +441,19 @@ type File struct {
 	ra    []raChunk // outstanding readahead window, ascending offsets
 	ww    []wwChunk // outstanding pipelined writes, issue order
 	werr  error     // sticky pipelined-write failure, cleared by Flush
+
+	// snap holds the file as the server sent it inline in the open
+	// reply, and snapEOF that reply's EOF flag. Reads inside it cost no
+	// round trip; the first read at or past its end opens a handle.
+	snap    []byte
+	snapEOF bool
 }
+
+// inlineMax is the largest file a read-only open asks the server to
+// return inline, in the open reply, instead of issuing a handle. It is
+// ReadFile's read chunk, so such a file would otherwise cost exactly
+// one Read round trip plus a Close.
+const inlineMax = 64 << 10
 
 // raChunk is one in-flight readahead request.
 type raChunk struct {
@@ -501,6 +513,9 @@ func (f *File) fillReadahead(want uint32) error {
 // verdict, an error, a short chunk — drains the window and falls back
 // to the recovering lock-step path. Caller holds f.mu.
 func (f *File) readSequential(p []byte) (int, error) {
+	if err := f.ensureHandle(true); err != nil {
+		return 0, err
+	}
 	want := uint32(len(p))
 	// A window built for a different cursor or chunk size is useless.
 	if len(f.ra) > 0 && (f.ra[0].off != f.off || f.ra[0].n != want) {
@@ -559,8 +574,27 @@ func (cl *Client) Create(path string) (*File, error) {
 	return cl.open(path, true, true)
 }
 
+// openReq is the Open a client sends: read-only opens take small
+// files inline.
+func openReq(path string, write, create bool) proto.Open {
+	m := proto.Open{Path: path, Write: write, Create: create}
+	if !write && !create {
+		m.Inline = inlineMax
+	}
+	return m
+}
+
+// newFile wraps a successful open reply from addr.
+func (cl *Client) newFile(path, addr string, write bool, r proto.OpenOK) *File {
+	f := &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write, size: r.Size}
+	if r.FH == 0 {
+		f.snap, f.snapEOF = r.Bytes, r.EOF
+	}
+	return f
+}
+
 func (cl *Client) open(path string, write, create bool) (*File, error) {
-	reply, addr, err := cl.walk(proto.Open{Path: path, Write: write, Create: create})
+	reply, addr, err := cl.walk(openReq(path, write, create))
 	if err != nil {
 		// Stale-location recovery (Section III-C1): when the walk died
 		// at a redirect target rather than at a manager, the manager
@@ -578,7 +612,7 @@ func (cl *Client) open(path string, write, create bool) (*File, error) {
 	}
 	switch r := reply.(type) {
 	case proto.OpenOK:
-		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write || create, size: r.Size}, nil
+		return cl.newFile(path, addr, write || create, r), nil
 	case proto.Err:
 		return nil, errFrom(r)
 	default:
@@ -611,13 +645,13 @@ func (cl *Client) openRefreshed(path string, write, create bool, avoid string) (
 		}
 		return nil, fmt.Errorf("%w: refresh did not redirect (%T)", ErrIO, reply)
 	}
-	reply, addr, err := cl.walkFrom(rd.Addr, proto.Open{Path: path, Write: write, Create: create})
+	reply, addr, err := cl.walkFrom(rd.Addr, openReq(path, write, create))
 	if err != nil {
 		return nil, err
 	}
 	switch r := reply.(type) {
 	case proto.OpenOK:
-		return &File{cl: cl, path: path, addr: addr, fh: r.FH, write: write || create, size: r.Size}, nil
+		return cl.newFile(path, addr, write || create, r), nil
 	case proto.Err:
 		return nil, errFrom(r)
 	default:
@@ -652,7 +686,14 @@ func (f *File) recover() error {
 	}
 	_ = addr
 	// Open directly at the fresh holder (it may itself redirect).
-	reply, addr, err = f.cl.walkFrom(rd.Addr, proto.Open{Path: f.path, Write: f.write})
+	return f.openHandle(rd.Addr)
+}
+
+// openHandle opens a handle on the file at addr, which may redirect,
+// and serves every later read through it: the inline snapshot, if any,
+// is dropped. Caller holds f.mu.
+func (f *File) openHandle(addr string) error {
+	reply, addr, err := f.cl.walkFrom(addr, proto.Open{Path: f.path, Write: f.write})
 	if err != nil {
 		return err
 	}
@@ -664,7 +705,39 @@ func (f *File) recover() error {
 		return fmt.Errorf("%w: reopen failed (%T)", ErrIO, reply)
 	}
 	f.addr, f.fh, f.size = addr, okMsg.FH, okMsg.Size
+	f.snap = nil
 	return nil
+}
+
+// inSnapshot reports whether a read at off is served from the inline
+// snapshot.
+func (f *File) inSnapshot(off int64) bool {
+	return f.fh == 0 && off >= 0 && off < int64(len(f.snap))
+}
+
+// readSnapshot serves a read at off, which inSnapshot accepted, from the
+// snapshot. Like a Data reply it reports io.EOF with the last bytes.
+func (f *File) readSnapshot(p []byte, off int64) (int, error) {
+	n := copy(p, f.snap[off:])
+	if f.snapEOF && off+int64(n) == int64(len(f.snap)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// ensureHandle gives an inline file a handle before a read past its
+// snapshot, so the read sees bytes appended since the open. A holder
+// that cannot open it triggers the same refresh recovery as a failed
+// read. Caller holds f.mu.
+func (f *File) ensureHandle(mayRecover bool) error {
+	if f.fh != 0 {
+		return nil
+	}
+	err := f.openHandle(f.addr)
+	if err != nil && mayRecover {
+		err = f.recover()
+	}
+	return err
 }
 
 // ReadAt implements io.ReaderAt with transparent refresh recovery.
@@ -676,10 +749,16 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.flushWrites(); err != nil {
 		return 0, err
 	}
+	if f.inSnapshot(off) {
+		return f.readSnapshot(p, off)
+	}
 	return f.readAtLocked(p, off, true)
 }
 
 func (f *File) readAtLocked(p []byte, off int64, mayRecover bool) (int, error) {
+	if err := f.ensureHandle(mayRecover); err != nil {
+		return 0, err
+	}
 	var shedWaited time.Duration
 retry:
 	// The frame-returning rpc keeps the hot read path pooled: the Data
@@ -752,7 +831,9 @@ func (f *File) Read(p []byte) (int, error) {
 		n   int
 		err error
 	)
-	if f.cl.cfg.Readahead > 1 && len(p) > 0 {
+	if f.inSnapshot(f.off) {
+		n, err = f.readSnapshot(p, f.off)
+	} else if f.cl.cfg.Readahead > 1 && len(p) > 0 {
 		n, err = f.readSequential(p)
 	} else {
 		n, err = f.readAtLocked(p, f.off, true)
@@ -984,13 +1065,18 @@ func (f *File) Truncate(size int64) error {
 // Close releases the remote handle, abandoning any readahead. It
 // flushes the pipelined-write window first; a flush failure is
 // reported after the handle is released, so no acked-but-failed write
-// goes unnoticed.
+// goes unnoticed. An inline file that never opened a handle holds
+// nothing at the server, so its Close sends nothing.
 func (f *File) Close() error {
 	f.mu.Lock()
 	f.cancelReadahead()
 	werr := f.flushWrites()
+	fh := f.fh
 	f.mu.Unlock()
-	reply, err := f.cl.rpc(f.addr, proto.Close{FH: f.fh})
+	if fh == 0 {
+		return werr
+	}
+	reply, err := f.cl.rpc(f.addr, proto.Close{FH: fh})
 	if werr != nil {
 		return werr
 	}

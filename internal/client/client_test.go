@@ -24,7 +24,7 @@ const (
 )
 
 type rig struct {
-	net    *transport.InProc
+	net    transport.Network
 	mgr    *cmsd.Node
 	srvs   []*cmsd.Node
 	stores []*store.Store
@@ -33,10 +33,17 @@ type rig struct {
 func buildCluster(t *testing.T, nServers int) *rig {
 	t.Helper()
 	net := transport.NewInProc(transport.InProcConfig{})
+	return buildClusterOn(t, net, func(name string) string { return name }, nServers)
+}
+
+// buildClusterOn builds the cluster over net, listening on addr(name)
+// for each of the in-process names buildCluster uses.
+func buildClusterOn(t *testing.T, net transport.Network, addr func(string) string, nServers int) *rig {
+	t.Helper()
 	r := &rig{net: net}
 	mgr, err := cmsd.NewNode(cmsd.NodeConfig{
 		Name: "mgr", Role: proto.RoleManager,
-		DataAddr: "mgr:data", CtlAddr: "mgr:ctl", Net: net,
+		DataAddr: addr("mgr:data"), CtlAddr: addr("mgr:ctl"), Net: net,
 		Core: cmsd.Config{
 			Cache:     cache.Config{InitialBuckets: 89},
 			Queue:     respq.Config{Period: tFastPeriod},
@@ -56,8 +63,8 @@ func buildCluster(t *testing.T, nServers int) *rig {
 		st := store.New(store.Config{StageDelay: 50 * time.Millisecond})
 		srv, err := cmsd.NewNode(cmsd.NodeConfig{
 			Name: fmt.Sprintf("srv%d", i), Role: proto.RoleServer,
-			DataAddr: fmt.Sprintf("srv%d:data", i),
-			Parents:  []string{"mgr:ctl"}, Prefixes: []string{"/"},
+			DataAddr: addr(fmt.Sprintf("srv%d:data", i)),
+			Parents:  []string{addr("mgr:ctl")}, Prefixes: []string{"/"},
 			Net: net, Store: st,
 			StageWaitMillis: 20, ReconnectDelay: 20 * time.Millisecond,
 		})
@@ -82,7 +89,7 @@ func buildCluster(t *testing.T, nServers int) *rig {
 }
 
 func (r *rig) client(t *testing.T) *Client {
-	cl := New(Config{Net: r.net, Managers: []string{"mgr:data"}})
+	cl := New(Config{Net: r.net, Managers: []string{r.mgr.DataAddr()}})
 	t.Cleanup(cl.Close)
 	return cl
 }
@@ -191,8 +198,11 @@ func TestCreateExclusive(t *testing.T) {
 
 func TestRefreshRecoveryOnStaleLocation(t *testing.T) {
 	r := buildCluster(t, 2)
-	r.stores[0].Put("/f", []byte("replica"))
-	r.stores[1].Put("/f", []byte("replica"))
+	// Larger than inlineMax, so the open issues a handle for the read to
+	// find stale.
+	data := bytes.Repeat([]byte("replica "), inlineMax/8+1)
+	r.stores[0].Put("/f", data)
+	r.stores[1].Put("/f", data)
 	cl := r.client(t)
 
 	// Warm the cache so both holders are known.
@@ -226,7 +236,7 @@ func TestRefreshRecoveryOnStaleLocation(t *testing.T) {
 	if err != nil && err != io.EOF {
 		t.Fatalf("recovered read error: %v", err)
 	}
-	if string(buf[:n]) != "replica" {
+	if !bytes.Equal(buf[:n], data[:len(buf)]) {
 		t.Fatalf("recovered read = %q", buf[:n])
 	}
 	if f.Server() == served {

@@ -385,17 +385,28 @@ func TestSlotReuseUnderDropRace(t *testing.T) {
 		}
 	}
 	for round := 0; round < 8; round++ {
+		// A drop that beats the re-login frees the slot, and the login
+		// then takes the lowest free one, so a name's slot can move from
+		// round to round: look each one up afresh.
+		slotOf := map[string]int{}
+		for _, m := range tb.Members() {
+			slotOf[m.Name] = m.Index
+		}
 		var wg sync.WaitGroup
 		for i := 0; i < MaxMembers; i++ {
-			gen, ok := tb.DisconnectManual(i)
+			name := fmt.Sprintf("n%d", i)
+			slot, ok := slotOf[name]
 			if !ok {
-				t.Fatalf("round %d: member %d not online", round, i)
+				t.Fatalf("round %d: member %s not registered", round, name)
+			}
+			gen, ok := tb.DisconnectManual(slot)
+			if !ok {
+				t.Fatalf("round %d: member %s (slot %d) not online", round, name, slot)
 			}
 			wg.Add(2)
-			name := fmt.Sprintf("n%d", i)
 			go func() {
 				defer wg.Done()
-				tb.MaybeDrop(i, gen)
+				tb.MaybeDrop(slot, gen)
 			}()
 			go func() {
 				defer wg.Done()

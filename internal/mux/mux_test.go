@@ -14,9 +14,11 @@ import (
 
 // reorderServer accepts one connection and answers Stat requests with
 // StatOK{Size: <per-path token>}, shuffling replies within batches so
-// responses leave the server out of order. Paths named "/black-hole"
-// are swallowed (never answered) until release is closed, after which
-// their replies are sent late.
+// responses leave the server out of order. A partial batch is answered
+// once no request has arrived for batchIdle, so callers that wait on
+// their replies before sending more cannot stall it. Paths named
+// "/black-hole" are swallowed (never answered) until release is
+// closed, after which their replies are sent late.
 func reorderServer(t *testing.T, net transport.Network, addr string, batch int, release <-chan struct{}) {
 	t.Helper()
 	l, err := net.Listen(addr)
@@ -37,17 +39,6 @@ func reorderServer(t *testing.T, net transport.Network, addr string, batch int, 
 			mu   sync.Mutex
 			held []req
 		)
-		rng := rand.New(rand.NewSource(42))
-		pending := make([]req, 0, batch)
-		flush := func() {
-			rng.Shuffle(len(pending), func(i, j int) {
-				pending[i], pending[j] = pending[j], pending[i]
-			})
-			for _, r := range pending {
-				transport.SendMessageStream(conn, proto.StatOK{Exists: true, Size: r.size}, r.sid)
-			}
-			pending = pending[:0]
-		}
 		if release != nil {
 			go func() {
 				<-release
@@ -59,29 +50,62 @@ func reorderServer(t *testing.T, net transport.Network, addr string, batch int, 
 				mu.Unlock()
 			}()
 		}
+		// Sized to the 64 in-flight streams the tests use, so the reader
+		// never waits on the batcher.
+		reqs := make(chan req, 64)
+		go func() {
+			defer close(reqs)
+			for {
+				frame, err := conn.Recv()
+				if err != nil {
+					return
+				}
+				m, sid, err := proto.UnmarshalStream(frame)
+				if err != nil {
+					return
+				}
+				st, ok := m.(proto.Stat)
+				if !ok {
+					continue
+				}
+				if st.Path == "/black-hole" {
+					mu.Lock()
+					held = append(held, req{sid: sid, size: -1})
+					mu.Unlock()
+					continue
+				}
+				var size int64
+				fmt.Sscanf(st.Path, "/f%d", &size)
+				reqs <- req{sid: sid, size: size}
+			}
+		}()
+		rng := rand.New(rand.NewSource(42))
+		pending := make([]req, 0, batch)
+		flush := func() {
+			rng.Shuffle(len(pending), func(i, j int) {
+				pending[i], pending[j] = pending[j], pending[i]
+			})
+			for _, r := range pending {
+				transport.SendMessageStream(conn, proto.StatOK{Exists: true, Size: r.size}, r.sid)
+			}
+			pending = pending[:0]
+		}
+		const batchIdle = 2 * time.Millisecond
 		for {
-			frame, err := conn.Recv()
-			if err != nil {
-				return
+			var idle <-chan time.Time
+			if len(pending) > 0 {
+				idle = time.After(batchIdle)
 			}
-			m, sid, err := proto.UnmarshalStream(frame)
-			if err != nil {
-				return
-			}
-			st, ok := m.(proto.Stat)
-			if !ok {
-				continue
-			}
-			if st.Path == "/black-hole" {
-				mu.Lock()
-				held = append(held, req{sid: sid, size: -1})
-				mu.Unlock()
-				continue
-			}
-			var size int64
-			fmt.Sscanf(st.Path, "/f%d", &size)
-			pending = append(pending, req{sid: sid, size: size})
-			if len(pending) >= batch {
+			select {
+			case r, ok := <-reqs:
+				if !ok {
+					return
+				}
+				pending = append(pending, r)
+				if len(pending) >= batch {
+					flush()
+				}
+			case <-idle:
 				flush()
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"scalla/internal/proto"
+	"scalla/internal/race"
 	"scalla/internal/transport"
 )
 
@@ -273,6 +274,9 @@ func TestSchedDispatchAllocsNothing(t *testing.T) {
 		}
 		stepFinish(s, j)
 	})
+	if race.Enabled {
+		t.Skip("0-alloc assertion skipped under -race: sync.Pool drops Puts at random")
+	}
 	if avg != 0 {
 		t.Fatalf("scheduled dispatch allocates %.1f objects per op, want 0", avg)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalla/internal/proto"
+	"scalla/internal/race"
 )
 
 // allocRig builds a proxy over a live origin with one fully cached
@@ -58,6 +59,9 @@ func TestProxyHitPathAllocsNothing(t *testing.T) {
 		}
 		f.Release()
 	})
+	if race.Enabled {
+		t.Skip("0-alloc assertion skipped under -race: sync.Pool drops Puts at random")
+	}
 	if avg != 0 {
 		t.Fatalf("hit path allocates %.1f objects per 64 KiB read, want 0", avg)
 	}

@@ -218,6 +218,41 @@ func TestRepeatOpensBypassOrigin(t *testing.T) {
 	}
 }
 
+// TestProxySmallFileKeepsHandle checks that the proxy's downstream face
+// ignores the client's inline request: a small file opened through it
+// gets a proxy handle, reads through the block cache and is closed as
+// before.
+func TestProxySmallFileKeepsHandle(t *testing.T) {
+	o := startOrigin(t, 1)
+	want := payload(3, 4<<10)
+	if err := o.stores[0].Put("/store/small.root", want); err != nil {
+		t.Fatal(err)
+	}
+	p, cl := startProxy(t, o, Config{})
+	handles := func() int {
+		p.hmu.Lock()
+		defer p.hmu.Unlock()
+		return len(p.handles)
+	}
+	f, err := cl.Open("/store/small.root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if handles() != 1 {
+		t.Fatalf("proxy holds %d handles after open, want 1", handles())
+	}
+	got, err := io.ReadAll(f)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read %d bytes through the proxy, %v", len(got), err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if handles() != 0 {
+		t.Fatalf("proxy holds %d handles after close", handles())
+	}
+}
+
 // TestProxyWriteThroughInvalidates checks the write path: writes pass
 // through to origin and drop the edge's cached state, so a reader
 // through the proxy sees the new bytes immediately.

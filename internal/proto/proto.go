@@ -271,20 +271,28 @@ type Err struct {
 // Kind implements Message.
 func (Err) Kind() Kind { return KErr }
 
-// Open opens a file on a data server.
+// Open opens a file on a data server. Inline is the largest file, in
+// bytes, the client will take whole in the reply instead of a handle
+// (0 = never); servers that do not inline ignore it.
 type Open struct {
 	Path   string
 	Write  bool
 	Create bool
+	Inline uint32
 }
 
 // Kind implements Message.
 func (Open) Kind() Kind { return KOpen }
 
-// OpenOK returns the file handle for subsequent I/O.
+// OpenOK returns the file handle for subsequent I/O. FH 0 means the
+// open was answered inline: Bytes holds the whole file as read at open
+// time (EOF set as on a Data reply) and the server keeps no handle, so
+// the file needs neither Read nor Close.
 type OpenOK struct {
-	FH   uint64
-	Size int64
+	FH    uint64
+	Size  int64
+	EOF   bool
+	Bytes []byte
 }
 
 // Kind implements Message.
@@ -702,11 +710,34 @@ func MarshalFrameStream(m Message, stream uint32) *Frame {
 // exactly once). The caller must then call FinishData with the number
 // of bytes actually written; releasing an unfinished frame is safe.
 func StartDataFrame(stream uint32, fh uint64, n int) (*Frame, []byte) {
+	f, w := startFrame(KData, stream)
+	w.u64(fh)
+	return reservePayload(f, w, n)
+}
+
+// StartInlineOpenFrame is StartDataFrame for an inline open: it begins
+// an OpenOK with FH 0 and the given size, whose payload slice of
+// length n receives the file's bytes. Finish it with FinishData.
+func StartInlineOpenFrame(stream uint32, size int64, n int) (*Frame, []byte) {
+	f, w := startFrame(KOpenOK, stream)
+	w.u64(0) // no handle: the reply carries the file
+	w.i64(size)
+	return reservePayload(f, w, n)
+}
+
+// startFrame takes a pooled frame and writes the header of a kind.
+func startFrame(k Kind, stream uint32) (*Frame, writer) {
 	f := framePool.Get().(*Frame)
 	w := writer{b: f.b[:0]}
-	w.u8(uint8(KData))
+	w.u8(uint8(k))
 	w.u32(stream)
-	w.u64(fh)
+	return f, w
+}
+
+// reservePayload appends to f's header the EOF flag and payload length
+// that FinishData patches, then room for n payload bytes, and returns
+// f with the payload slice.
+func reservePayload(f *Frame, w writer, n int) (*Frame, []byte) {
 	w.u8(0)          // EOF, patched by FinishData
 	w.u32(uint32(n)) // payload length, patched by FinishData
 	head := len(w.b)
@@ -721,16 +752,20 @@ func StartDataFrame(stream uint32, fh uint64, n int) (*Frame, []byte) {
 	return f, f.b[head:]
 }
 
-// FinishData completes a frame started with StartDataFrame: it trims
-// the payload to the n bytes actually written and stamps the EOF flag
-// into the header. n must not exceed the capacity requested at start.
+// FinishData completes a frame started with StartDataFrame or
+// StartInlineOpenFrame: it trims the payload to the n bytes actually
+// written and stamps the EOF flag into the header. n must not exceed
+// the capacity requested at start.
 func (f *Frame) FinishData(n int, eof bool) {
-	head := headerLen + 8 + 1 + 4 // fh, eof, payload length
-	if eof {
-		f.b[headerLen+8] = 1
+	at := headerLen + 8 // the EOF flag follows Data's FH
+	if Kind(f.b[0]) == KOpenOK {
+		at += 8 // and OpenOK's Size
 	}
-	binary.BigEndian.PutUint32(f.b[headerLen+8+1:], uint32(n))
-	f.b = f.b[:head+n]
+	if eof {
+		f.b[at] = 1
+	}
+	binary.BigEndian.PutUint32(f.b[at+1:], uint32(n))
+	f.b = f.b[:at+1+4+n]
 }
 
 // appendMessage appends m's frame encoding to buf and returns the
@@ -792,9 +827,15 @@ func appendMessage(buf []byte, m Message, stream uint32) []byte {
 		w.str(v.Path)
 		w.boolean(v.Write)
 		w.boolean(v.Create)
+		w.u32(v.Inline)
 	case OpenOK:
+		// Inline bytes go last, behind a fixed-width length, as in Data,
+		// so StartInlineOpenFrame can fill them in place.
 		w.u64(v.FH)
 		w.i64(v.Size)
+		w.boolean(v.EOF)
+		w.u32(uint32(len(v.Bytes)))
+		w.b = append(w.b, v.Bytes...)
 	case Read:
 		w.u64(v.FH)
 		w.i64(v.Off)
@@ -900,9 +941,16 @@ func UnmarshalStream(frame []byte) (Message, uint32, error) {
 	case KErr:
 		m = Err{Code: r.u32(), Msg: r.str()}
 	case KOpen:
-		m = Open{Path: r.str(), Write: r.boolean(), Create: r.boolean()}
+		m = Open{Path: r.str(), Write: r.boolean(), Create: r.boolean(), Inline: r.u32()}
 	case KOpenOK:
-		m = OpenOK{FH: r.u64(), Size: r.i64()}
+		o := OpenOK{FH: r.u64(), Size: r.i64(), EOF: r.boolean()}
+		// Copy rather than alias: the client keeps an inline file for
+		// its whole life, so OpenOK stays out of AliasesFrame and its
+		// frame can be released right after decode.
+		if b := r.rawBytes32(); len(b) > 0 {
+			o.Bytes = append(make([]byte, 0, len(b)), b...)
+		}
+		m = o
 	case KRead:
 		m = Read{FH: r.u64(), Off: r.i64(), N: r.u32()}
 	case KData:

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,11 @@ func all() []Message {
 		Wait{Millis: 5000},
 		Err{Code: ENoEnt, Msg: "no such file"},
 		Open{Path: "/f", Write: true, Create: false},
+		Open{Path: "/small", Inline: 64 << 10},
 		OpenOK{FH: 77, Size: 1 << 30},
+		OpenOK{EOF: true}, // an empty file, inline
+		OpenOK{Size: 1, EOF: true, Bytes: []byte{7}},
+		OpenOK{Size: 64 << 10, EOF: true, Bytes: inlineFile(64 << 10)},
 		Read{FH: 77, Off: 4096, N: 65536},
 		Data{FH: 77, Bytes: []byte{1, 2, 3}, EOF: true},
 		Write{FH: 77, Off: 0, Bytes: []byte("hello")},
@@ -45,6 +50,15 @@ func all() []Message {
 		TruncOK{FH: 77},
 		RetryAfter{Millis: 150},
 	}
+}
+
+// inlineFile returns n bytes of patterned file content.
+func inlineFile(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i * 7)
+	}
+	return b
 }
 
 func TestRoundTripEveryKind(t *testing.T) {
@@ -70,6 +84,46 @@ func TestRoundTripEveryKind(t *testing.T) {
 	for k := KLocate; k <= KTruncOK; k++ {
 		if !covered[k] {
 			t.Errorf("data kind %d missing from round-trip coverage", k)
+		}
+	}
+}
+
+// TestInlineOpenFrame checks that an OpenOK built in place by
+// StartInlineOpenFrame and FinishData encodes exactly as Marshal does,
+// and that the decoded bytes are a copy the frame's reuse cannot touch.
+func TestInlineOpenFrame(t *testing.T) {
+	for _, c := range []struct {
+		size, n int // reserved and filled payload bytes
+		eof     bool
+	}{
+		{0, 0, true},
+		{1, 1, true},
+		{64 << 10, 64 << 10, true},
+		{64 << 10, 64<<10 - 1, false}, // the store read came up short
+	} {
+		content := inlineFile(c.n)
+		f, dst := StartInlineOpenFrame(9, int64(c.size), c.size)
+		copy(dst, content)
+		f.FinishData(c.n, c.eof)
+		want := MarshalStream(OpenOK{Size: int64(c.size), EOF: c.eof, Bytes: content}, 9)
+		if !bytes.Equal(f.Bytes(), want) {
+			t.Fatalf("%+v: in-place frame differs from Marshal", c)
+		}
+		m, sid, err := UnmarshalStream(f.Bytes())
+		if err != nil || sid != 9 {
+			t.Fatalf("%+v: decode: %v (stream %d)", c, err, sid)
+		}
+		if AliasesFrame(m) {
+			t.Fatal("OpenOK must not alias its frame")
+		}
+		ok := m.(OpenOK)
+		for i := range f.Bytes() {
+			f.Bytes()[i] = 0xEE
+		}
+		f.Release()
+		if ok.FH != 0 || ok.EOF != c.eof || !bytes.Equal(ok.Bytes, content) || cap(ok.Bytes) != c.n {
+			t.Fatalf("%+v: decoded %d bytes (cap %d), eof %v, fh %d",
+				c, len(ok.Bytes), cap(ok.Bytes), ok.EOF, ok.FH)
 		}
 	}
 }

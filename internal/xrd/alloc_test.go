@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"scalla/internal/proto"
+	"scalla/internal/race"
 	"scalla/internal/store"
 )
 
@@ -36,11 +37,11 @@ func allocRigStore(tb testing.TB, st *store.Store) (*Server, uint64) {
 		tb.Fatal(err)
 	}
 	srv := New(Config{Store: st})
-	reply, fh := srv.issueMsg("/big", false, int64(len(data)))
-	if _, ok := reply.(proto.OpenOK); !ok {
+	reply, ok := srv.issue("/big", false, int64(len(data)), handleSet{}).(proto.OpenOK)
+	if !ok {
 		tb.Fatalf("open: %#v", reply)
 	}
-	return srv, fh
+	return srv, reply.FH
 }
 
 // TestReadFrameAllocsNothing pins the single-copy read path: after the
@@ -63,6 +64,9 @@ func TestReadFrameAllocsNothing(t *testing.T) {
 		}
 		f.Release()
 	})
+	if race.Enabled {
+		t.Skip("0-alloc assertion skipped under -race: sync.Pool drops Puts at random")
+	}
 	if avg != 0 {
 		t.Fatalf("readFrame allocates %.1f objects per 64 KiB read, want 0", avg)
 	}
@@ -87,8 +91,45 @@ func TestDiskReadFrameAllocsNothing(t *testing.T) {
 		}
 		f.Release()
 	})
+	if race.Enabled {
+		t.Skip("0-alloc assertion skipped under -race: sync.Pool drops Puts at random")
+	}
 	if avg != 0 {
 		t.Fatalf("disk readFrame allocates %.1f objects per 64 KiB read, want 0", avg)
+	}
+}
+
+// TestInlineOpenAllocsNothing pins the inline open reply to the same
+// contract as a read: once the frame pool is warm, answering a
+// read-only open of a 64 KiB file with the whole file in a pooled
+// OpenOK frame allocates nothing, and issues no handle.
+func TestInlineOpenAllocsNothing(t *testing.T) {
+	st := store.New(store.Config{})
+	if err := st.Put("/small", make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Store: st})
+	open := proto.Open{Path: "/small", Inline: 64 << 10}
+	if f, bad := srv.open(open, 7, nil); f == nil {
+		t.Fatalf("warmup open not inline: %#v", bad)
+	} else {
+		f.Release()
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		f, bad := srv.open(open, 7, nil)
+		if f == nil {
+			t.Fatalf("open not inline: %#v", bad)
+		}
+		f.Release()
+	})
+	if srv.Handles() != 0 {
+		t.Fatalf("inline opens left %d handles", srv.Handles())
+	}
+	if race.Enabled {
+		t.Skip("0-alloc assertion skipped under -race: sync.Pool drops Puts at random")
+	}
+	if avg != 0 {
+		t.Fatalf("inline open allocates %.1f objects per 64 KiB reply, want 0", avg)
 	}
 }
 

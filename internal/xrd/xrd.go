@@ -84,7 +84,12 @@ type Stats struct {
 type handle struct {
 	path  string
 	write bool
+	own   handleSet // the opening connection's set; guarded by Server.mu
 }
+
+// handleSet holds the handles one connection opened and has not closed,
+// so its disconnect can drop them. Guarded by Server.mu.
+type handleSet map[uint64]struct{}
 
 // New returns a Server over the given configuration.
 func New(cfg Config) *Server {
@@ -168,13 +173,12 @@ func (s *Server) Close() {
 func (s *Server) handleConn(conn transport.Conn) {
 	defer conn.Close()
 	// Handles are per-connection in spirit; track the ones opened here
-	// so a dropped client leaks nothing. Concurrent workers append
-	// under their own lock.
-	var mineMu sync.Mutex
-	var mine []uint64
+	// so a dropped client leaks nothing. close prunes the set, so a
+	// long-lived connection holds only its open handles.
+	own := handleSet{}
 	defer func() {
 		s.mu.Lock()
-		for _, fh := range mine {
+		for fh := range own {
 			delete(s.handles, fh)
 		}
 		s.mu.Unlock()
@@ -184,13 +188,8 @@ func (s *Server) handleConn(conn transport.Conn) {
 			return nil
 		}
 		s.inflight.Add(1)
-		reply, opened := s.dispatch(msg, r)
+		reply := s.dispatch(msg, r, own)
 		s.inflight.Add(-1)
-		if opened != 0 {
-			mineMu.Lock()
-			mine = append(mine, opened)
-			mineMu.Unlock()
-		}
 		return reply
 	}, mux.ServeOptions{
 		Sched:  s.sched,
@@ -201,81 +200,99 @@ func (s *Server) handleConn(conn transport.Conn) {
 	})
 }
 
-// dispatch handles one request, returning the reply and, for successful
-// opens, the issued handle. Reads reply through the responder's
-// single-copy frame path and return nil.
-func (s *Server) dispatch(msg proto.Message, r mux.Responder) (reply proto.Message, opened uint64) {
+// dispatch handles one request on a connection whose handles are own.
+// Reads and inline opens reply through the responder's single-copy
+// frame path and return nil.
+func (s *Server) dispatch(msg proto.Message, r mux.Responder, own handleSet) proto.Message {
+	var f *proto.Frame // a single-copy reply, sent in place of a message
+	var reply proto.Message
 	switch m := msg.(type) {
 	case proto.Open:
-		return s.open(m)
+		f, reply = s.open(m, r.Stream(), own)
 	case proto.Read:
-		return s.read(m, r), 0
+		f, reply = s.readFrame(m, r.Stream())
 	case proto.Write:
-		return s.write(m), 0
+		reply = s.write(m)
 	case proto.Trunc:
-		return s.trunc(m), 0
+		reply = s.trunc(m)
 	case proto.Close:
-		return s.close(m), 0
+		reply = s.close(m)
 	case proto.Stat:
-		return s.stat(m), 0
+		reply = s.stat(m)
 	case proto.Unlink:
-		return s.unlink(m), 0
+		reply = s.unlink(m)
 	case proto.Prepare:
-		return s.prepare(m), 0
+		reply = s.prepare(m)
 	case proto.List:
-		return s.list(m), 0
+		reply = s.list(m)
 	case proto.Ping:
-		return proto.Pong{Load: s.Load(), Free: s.cfg.Store.Free()}, 0
+		reply = proto.Pong{Load: s.Load(), Free: s.cfg.Store.Free()}
 	default:
-		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}, 0
+		reply = proto.Err{Code: proto.EInval, Msg: "unexpected message"}
 	}
+	if f != nil {
+		if err := r.SendFrame(f); err != nil {
+			s.cfg.Logf("xrd: reply failed: %v", err)
+		}
+	}
+	return reply
 }
 
-func (s *Server) open(m proto.Open) (proto.Message, uint64) {
+// open answers an Open on stream. A read-only open of an online file
+// no larger than min(m.Inline, MaxFrame/2) is answered inline: the
+// returned frame is an OpenOK carrying the whole file and no handle is
+// issued. Every other open returns a reply message, issuing a handle
+// into own on success.
+func (s *Server) open(m proto.Open, stream uint32, own handleSet) (*proto.Frame, proto.Message) {
 	st := s.cfg.Store
 	if m.Create {
 		if s.cfg.ReadOnly {
-			return proto.Err{Code: proto.EIO, Msg: "read-only server"}, 0
+			return nil, proto.Err{Code: proto.EIO, Msg: "read-only server"}
 		}
 		if err := st.Create(m.Path); err == store.ErrExists {
-			return proto.Err{Code: proto.EExist, Msg: "file exists"}, 0
+			return nil, proto.Err{Code: proto.EExist, Msg: "file exists"}
 		} else if err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, 0
+			return nil, proto.Err{Code: proto.EIO, Msg: err.Error()}
 		}
-		return s.issue(m.Path, true, 0), 0
+		return nil, s.issue(m.Path, true, 0, own)
 	}
 	if m.Write && s.cfg.ReadOnly {
-		return proto.Err{Code: proto.EIO, Msg: "read-only server"}, 0
+		return nil, proto.Err{Code: proto.EIO, Msg: "read-only server"}
 	}
 	info, err := st.Stat(m.Path)
 	if err != nil {
-		return proto.Err{Code: proto.ENoEnt, Msg: "no such file"}, 0
+		return nil, proto.Err{Code: proto.ENoEnt, Msg: "no such file"}
 	}
 	if !info.Online {
 		// Kick staging and tell the client to come back.
 		if _, err := st.Stage(m.Path); err != nil {
-			return proto.Err{Code: proto.EIO, Msg: err.Error()}, 0
+			return nil, proto.Err{Code: proto.EIO, Msg: err.Error()}
 		}
 		s.staged.Add(1)
-		return proto.Wait{Millis: s.cfg.StageWaitMillis}, 0
+		return nil, proto.Wait{Millis: s.cfg.StageWaitMillis}
 	}
-	msg, fh := s.issueMsg(m.Path, m.Write, info.Size)
-	return msg, fh
+	if !m.Write && info.Size <= int64(min(m.Inline, transport.MaxFrame/2)) {
+		f, dst := proto.StartInlineOpenFrame(stream, info.Size, int(info.Size))
+		f, reply := s.fill(f, dst, m.Path, 0)
+		if f != nil {
+			s.opens.Add(1)
+		}
+		return f, reply
+	}
+	return nil, s.issue(m.Path, m.Write, info.Size, own)
 }
 
-func (s *Server) issue(path string, write bool, size int64) proto.Message {
-	msg, _ := s.issueMsg(path, write, size)
-	return msg
-}
-
-func (s *Server) issueMsg(path string, write bool, size int64) (proto.Message, uint64) {
+// issue registers a new handle for path in the server table and in the
+// opening connection's set own.
+func (s *Server) issue(path string, write bool, size int64, own handleSet) proto.Message {
 	s.mu.Lock()
 	s.nextFH++
 	fh := s.nextFH
-	s.handles[fh] = &handle{path: path, write: write}
+	s.handles[fh] = &handle{path: path, write: write, own: own}
+	own[fh] = struct{}{}
 	s.mu.Unlock()
 	s.opens.Add(1)
-	return proto.OpenOK{FH: fh, Size: size}, fh
+	return proto.OpenOK{FH: fh, Size: size}
 }
 
 func (s *Server) lookup(fh uint64) (*handle, bool) {
@@ -285,23 +302,10 @@ func (s *Server) lookup(fh uint64) (*handle, bool) {
 	return h, ok
 }
 
-// read serves a Read through the single-copy path: the payload is
-// copied from the store directly into a pooled, stream-tagged Data
-// frame (no intermediate buffer) and sent through the responder. Only
-// non-Data verdicts (wait, errors) come back as a reply message.
-func (s *Server) read(m proto.Read, r mux.Responder) proto.Message {
-	f, fallback := s.readFrame(m, r.Stream())
-	if f == nil {
-		return fallback
-	}
-	if err := r.SendFrame(f); err != nil {
-		s.cfg.Logf("xrd: read reply failed: %v", err)
-	}
-	return nil
-}
-
-// readFrame builds the single-copy Data frame for a Read, or returns
-// the non-Data verdict instead. The caller owns the returned frame.
+// readFrame builds the single-copy Data frame for a Read — the payload
+// is copied from the store directly into a pooled, stream-tagged frame
+// with no intermediate buffer — or returns the non-Data verdict
+// instead. The caller owns the returned frame.
 func (s *Server) readFrame(m proto.Read, stream uint32) (*proto.Frame, proto.Message) {
 	h, ok := s.lookup(m.FH)
 	if !ok {
@@ -311,7 +315,14 @@ func (s *Server) readFrame(m proto.Read, stream uint32) (*proto.Frame, proto.Mes
 		m.N = transport.MaxFrame / 2
 	}
 	f, dst := proto.StartDataFrame(stream, m.FH, int(m.N))
-	n, eof, err := s.cfg.Store.ReadAtInto(h.path, m.Off, dst)
+	return s.fill(f, dst, h.path, m.Off)
+}
+
+// fill reads path at off into dst, the payload of a frame begun by
+// StartDataFrame or StartInlineOpenFrame, and finishes the frame. On a
+// store failure it releases the frame and returns the verdict instead.
+func (s *Server) fill(f *proto.Frame, dst []byte, path string, off int64) (*proto.Frame, proto.Message) {
+	n, eof, err := s.cfg.Store.ReadAtInto(path, off, dst)
 	switch err {
 	case nil:
 		f.FinishData(n, eof)
@@ -382,8 +393,11 @@ func (s *Server) trunc(m proto.Trunc) proto.Message {
 
 func (s *Server) close(m proto.Close) proto.Message {
 	s.mu.Lock()
-	_, ok := s.handles[m.FH]
-	delete(s.handles, m.FH)
+	h, ok := s.handles[m.FH]
+	if ok {
+		delete(s.handles, m.FH)
+		delete(h.own, m.FH)
+	}
 	s.mu.Unlock()
 	if !ok {
 		return proto.Err{Code: proto.EInval, Msg: "bad file handle"}

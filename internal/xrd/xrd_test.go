@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 	"scalla/internal/store"
 	"scalla/internal/transport"
@@ -257,6 +258,90 @@ func TestHandlesCleanedUpOnDisconnect(t *testing.T) {
 	}
 	if srv.Handles() != 1 {
 		t.Fatalf("Handles = %d", srv.Handles())
+	}
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Handles() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("handles leaked after disconnect")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInlineOpen checks which opens the server answers inline: a
+// read-only open of an online file within the client's limit gets the
+// file and no handle, counted as one open and one read; a write open,
+// a larger file and an offline file behave as if Inline were 0.
+func TestInlineOpen(t *testing.T) {
+	conn, st := rig(t, Config{})
+	st.Put("/f", []byte("hello world"))
+	st.PutOffline("/tape", []byte("archived"))
+
+	idle := rpc(t, conn, proto.Ping{}).(proto.Pong).Load // the ping itself
+	r := rpc(t, conn, proto.Open{Path: "/f", Inline: 11})
+	ok, isOK := r.(proto.OpenOK)
+	if !isOK || ok.FH != 0 || ok.Size != 11 || !ok.EOF || string(ok.Bytes) != "hello world" {
+		t.Fatalf("inline open reply = %#v", r)
+	}
+	if load := rpc(t, conn, proto.Ping{}).(proto.Pong).Load; load != idle {
+		t.Fatalf("inline open holds server state: load %d, idle %d", load, idle)
+	}
+
+	for _, m := range []proto.Open{
+		{Path: "/f", Inline: 10},              // one byte too small
+		{Path: "/f", Write: true, Inline: 64}, // write opens never inline
+	} {
+		ok, isOK := rpc(t, conn, m).(proto.OpenOK)
+		if !isOK || ok.FH == 0 || ok.Bytes != nil {
+			t.Fatalf("%+v: reply = %#v, want a handle", m, ok)
+		}
+	}
+	if _, isWait := rpc(t, conn, proto.Open{Path: "/tape", Inline: 64}).(proto.Wait); !isWait {
+		t.Fatal("offline file was not answered with Wait")
+	}
+}
+
+// TestCloseFreesConnectionHandles checks that close prunes the opening
+// connection's handle set: 10 000 open/close pairs leave it empty, so a
+// long-lived connection does not grow it, and a disconnect still drops
+// the handles left open.
+func TestCloseFreesConnectionHandles(t *testing.T) {
+	const pairs = 10000
+	st := store.New(store.Config{})
+	st.Put("/f", []byte("x"))
+	srv := New(Config{Store: st})
+	own := handleSet{}
+	for i := 0; i < pairs; i++ {
+		ok, isOK := srv.dispatch(proto.Open{Path: "/f"}, mux.Responder{}, own).(proto.OpenOK)
+		if !isOK {
+			t.Fatal("open failed")
+		}
+		if _, isOK := srv.dispatch(proto.Close{FH: ok.FH}, mux.Responder{}, own).(proto.CloseOK); !isOK {
+			t.Fatal("close failed")
+		}
+	}
+	if len(own) != 0 || srv.Handles() != 0 {
+		t.Fatalf("after %d open/close pairs: %d handles in the connection set, %d in the server", pairs, len(own), srv.Handles())
+	}
+
+	n := transport.NewInProc(transport.InProcConfig{})
+	l, _ := n.Listen("xrd")
+	go srv.Serve(l)
+	defer l.Close()
+	conn, err := n.Dial("xrd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pairs; i++ {
+		ok := rpc(t, conn, proto.Open{Path: "/f"}).(proto.OpenOK)
+		rpc(t, conn, proto.Close{FH: ok.FH})
+	}
+	for i := 0; i < 3; i++ {
+		rpc(t, conn, proto.Open{Path: "/f"})
+	}
+	if srv.Handles() != 3 {
+		t.Fatalf("Handles = %d, want 3", srv.Handles())
 	}
 	conn.Close()
 	deadline := time.Now().Add(5 * time.Second)
