@@ -17,15 +17,6 @@ import (
 	"scalla/internal/transport"
 )
 
-// wireSnapshot reads the wire batching counters when the network
-// exposes them (transport.TCPNet); zero otherwise.
-func wireSnapshot(n transport.Network) transport.WireSnapshot {
-	if t, ok := n.(*transport.TCPNet); ok {
-		return t.Wire()
-	}
-	return transport.WireSnapshot{}
-}
-
 // freeTCPAddr reserves an ephemeral loopback port and returns its
 // address. The port is released before use, as in the TCP tests.
 func freeTCPAddr() (string, error) {
@@ -76,12 +67,13 @@ func benchE2ETCP(quick bool) ([]BenchResult, error) {
 	}
 	out = append(out, single)
 
-	base := wireSnapshot(rig.net)
+	base, _ := transport.WireOf(rig.net)
 	pipelined, err := benchRPC(rig, 8, rpcs, ".tcp")
 	if err != nil {
 		return nil, err
 	}
-	pipelined.FramesPerWritev = wireSnapshot(rig.net).Sub(base).MeanBatch()
+	after, _ := transport.WireOf(rig.net)
+	pipelined.FramesPerWritev = after.Sub(base).MeanBatch()
 	out = append(out, pipelined)
 
 	fileMB := 8

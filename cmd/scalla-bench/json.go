@@ -115,8 +115,8 @@ func runJSONBench(quick bool) (string, error) {
 	}
 	for _, r := range depth {
 		out.Results = append(out.Results, BenchResult{
-			Op: fmt.Sprintf("depth.resolve.n%d.f%d", r.Servers, r.Fanout),
-			N:  int64(r.Ops),
+			Op:        fmt.Sprintf("depth.resolve.n%d.f%d", r.Servers, r.Fanout),
+			N:         int64(r.Ops),
 			P50US:     float64(r.LatP50.Nanoseconds()) / 1e3,
 			P99US:     float64(r.LatP99.Nanoseconds()) / 1e3,
 			Depth:     r.Depth,
@@ -223,11 +223,12 @@ func benchResolveCached(n int) (BenchResult, error) {
 		if err := conn.Send(proto.Marshal(proto.Locate{Path: "/store/bench.root"})); err != nil {
 			return BenchResult{}, err
 		}
-		frame, err := conn.Recv()
+		f, err := conn.RecvFrame()
 		if err != nil {
 			return BenchResult{}, err
 		}
-		m, err := proto.Unmarshal(frame)
+		m, err := proto.Unmarshal(f.Bytes())
+		f.Release()
 		if err != nil {
 			return BenchResult{}, err
 		}
@@ -250,9 +251,12 @@ func benchResolveCached(n int) (BenchResult, error) {
 			benchErr = err
 			return
 		}
-		if _, err := conn.Recv(); err != nil {
+		f, err := conn.RecvFrame()
+		if err != nil {
 			benchErr = err
+			return
 		}
+		f.Release()
 	})
 	return res, benchErr
 }

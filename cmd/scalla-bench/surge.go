@@ -12,9 +12,9 @@ package main
 //     while the bulk cohort sheds.
 //
 // Bulk latency is allowed to degrade — gracefully, through RetryAfter
-// backoff rather than unbounded queueing. The server is mux.Serve with
-// the production Scheduler and a handler that sleeps 1 ms per read to
-// model media access: worker occupancy is the contended resource, so
+// backoff rather than unbounded queueing. The server is the production
+// Scheduler serving each connection with a handler that sleeps 1 ms per
+// read to model media access: worker occupancy is the contended resource, so
 // the bench measures the scheduler's queueing decisions rather than
 // the bench host's cores (client and server share one process). The
 // rows land in BENCH_<date>.json next to the other suites; `-surge`
@@ -152,7 +152,7 @@ func startSurgeServer(net transport.Network, sc surgeScale) (*surgeServer, error
 			go func() {
 				defer s.wg.Done()
 				defer conn.Close()
-				mux.Serve(conn, s.handle, mux.ServeOptions{Sched: s.sched})
+				s.sched.Serve(conn, s.handle, mux.ServeOptions{})
 			}()
 		}
 	}()

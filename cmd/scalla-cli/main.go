@@ -144,11 +144,12 @@ func ping(net transport.Network, addr string) (load uint32, free int64, err erro
 	if err := c.Send(proto.Marshal(proto.Ping{})); err != nil {
 		return 0, 0, err
 	}
-	frame, err := c.Recv()
+	f, err := c.RecvFrame()
 	if err != nil {
 		return 0, 0, err
 	}
-	m, err := proto.Unmarshal(frame)
+	m, err := proto.Unmarshal(f.Bytes())
+	f.Release()
 	if err != nil {
 		return 0, 0, err
 	}

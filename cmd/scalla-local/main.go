@@ -44,7 +44,7 @@ func main() {
 	summaryEvery := flag.Duration("summary-every", 5*time.Second, "summary frame period")
 	flag.Parse()
 
-	net := transport.Counting(transport.TCP())
+	net := transport.TCP()
 	mgrCfg := cmsd.NodeConfig{
 		Name: "mgr", Role: proto.RoleManager,
 		DataAddr: *mgrData, CtlAddr: *mgrCtl, Net: net,

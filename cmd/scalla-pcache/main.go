@@ -49,7 +49,7 @@ func main() {
 	blockLifetime := flag.Duration("block-lifetime", 10*time.Minute, "block age-out via the eviction windows")
 	locLifetime := flag.Duration("loc-lifetime", 8*time.Hour, "location object lifetime Lt")
 	readahead := flag.Int("readahead", 4, "blocks fetched from origin per miss")
-	workers := flag.Int("workers", 8, "concurrent dispatch per downstream connection")
+	workers := flag.Int("workers", 8, "concurrent request dispatch across all downstream connections")
 	rpcTimeout := flag.Duration("rpc-timeout", 15*time.Second, "one origin exchange bound")
 	admin := flag.String("admin", "", "admin/status HTTP address serving /statusz /metricsz /tracez")
 	summary := flag.String("summary", "", "summary-stream target: udp:host:port, tcp:host:port, or - for stdout")
@@ -63,7 +63,7 @@ func main() {
 	}
 	cfg := pcache.Config{
 		// Counted so summary frames carry the proxy's frame/byte totals.
-		Net:             transport.Counting(transport.TCP()),
+		Net:             transport.TCP(),
 		Addr:            *data,
 		Origins:         splitList(*origins),
 		Name:            *name,

@@ -90,7 +90,7 @@ func main() {
 		Prefixes: splitList(*exports),
 		// Counted so the summary stream carries the node's frame/byte
 		// totals (the transport section of each frame).
-		Net:      transport.Counting(transport.TCP()),
+		Net:      transport.TCP(),
 		ReadOnly: *readOnly,
 	}
 	if *traceCap > 0 {

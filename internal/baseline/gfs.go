@@ -108,11 +108,12 @@ func (m *GFSMaster) ReadyServers() int {
 func (m *GFSMaster) serve(c transport.Conn) {
 	defer c.Close()
 	for {
-		frame, err := c.Recv()
+		f, err := c.RecvFrame()
 		if err != nil {
 			return
 		}
-		reply, err := m.handle(frame)
+		reply, err := m.handle(f.Bytes())
+		f.Release()
 		if err != nil {
 			return
 		}
@@ -231,11 +232,14 @@ func RegisterManifest(net transport.Network, master, name, dataAddr string, path
 			return frames, err
 		}
 		frames++
-		reply, err := c.Recv()
+		reply, err := c.RecvFrame()
 		if err != nil {
 			return frames, err
 		}
-		if len(reply) < 1 || reply[0] != opRegisterOK {
+		b := reply.Bytes()
+		ok := len(b) > 0 && b[0] == opRegisterOK
+		reply.Release()
+		if !ok {
 			return frames, errBadFrame
 		}
 		if end >= len(paths) {
@@ -247,9 +251,11 @@ func RegisterManifest(net transport.Network, master, name, dataAddr string, path
 		return frames, err
 	}
 	frames++
-	if _, err := c.Recv(); err != nil {
+	reply, err := c.RecvFrame()
+	if err != nil {
 		return frames, err
 	}
+	reply.Release()
 	return frames, nil
 }
 
@@ -264,10 +270,12 @@ func Lookup(net transport.Network, master, path string) ([]string, error) {
 	if err := c.Send(frame); err != nil {
 		return nil, err
 	}
-	reply, err := c.Recv()
+	f, err := c.RecvFrame()
 	if err != nil {
 		return nil, err
 	}
+	defer f.Release()
+	reply := f.Bytes()
 	if len(reply) < 5 || reply[0] != opLocations {
 		return nil, errBadFrame
 	}

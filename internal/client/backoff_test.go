@@ -32,11 +32,12 @@ func TestWaitVerdictSleepsFullDelayBeforeRetry(t *testing.T) {
 			}
 			go func(c transport.Conn) {
 				for {
-					frame, err := c.Recv()
+					f, err := c.RecvFrame()
 					if err != nil {
 						return
 					}
-					m, sid, err := proto.UnmarshalStream(frame)
+					m, sid, err := proto.UnmarshalStream(f.Bytes())
+					f.Release()
 					if err != nil {
 						return
 					}

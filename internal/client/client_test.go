@@ -403,11 +403,12 @@ func TestHopLimitExceeded(t *testing.T) {
 			go func() {
 				defer conn.Close()
 				for {
-					frame, err := conn.Recv()
+					f, err := conn.RecvFrame()
 					if err != nil {
 						return
 					}
-					sid := proto.StreamID(frame)
+					sid := proto.StreamID(f.Bytes())
+					f.Release()
 					conn.Send(proto.MarshalStream(proto.Redirect{Addr: "loop", CtlAddr: "loop"}, sid))
 				}
 			}()

@@ -30,6 +30,8 @@ func startShedServer(t *testing.T, net transport.Network, addr string, admitAt i
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lis.Close() })
+	sched := mux.NewScheduler(mux.SchedConfig{Workers: 1})
+	t.Cleanup(sched.Close)
 	s := &shedServer{admitAt: admitAt}
 	go func() {
 		for {
@@ -37,7 +39,7 @@ func startShedServer(t *testing.T, net transport.Network, addr string, admitAt i
 			if err != nil {
 				return
 			}
-			go mux.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
+			go sched.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
 				switch v := m.(type) {
 				case proto.Locate:
 					if v.Refresh {
@@ -140,6 +142,8 @@ func TestReadAtRetriesSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	sched := mux.NewScheduler(mux.SchedConfig{Workers: 1})
+	defer sched.Close()
 	var mu sync.Mutex
 	readSheds := 0
 	go func() {
@@ -148,7 +152,7 @@ func TestReadAtRetriesSheds(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go mux.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
+			go sched.Serve(conn, func(m proto.Message, r mux.Responder) proto.Message {
 				switch m.(type) {
 				case proto.Open:
 					return proto.OpenOK{FH: 9, Size: 4}

@@ -98,13 +98,17 @@ func rpc(t *testing.T, conn transport.Conn, m proto.Message) proto.Message {
 	if err := conn.Send(proto.Marshal(m)); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := conn.Recv()
+	f, err := conn.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := proto.Unmarshal(frame)
+	reply, err := proto.Unmarshal(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A Data reply aliases the frame; it goes to the GC with the reply.
+	if !proto.AliasesFrame(reply) {
+		f.Release()
 	}
 	return reply
 }

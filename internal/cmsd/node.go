@@ -54,11 +54,10 @@ type NodeConfig struct {
 	Core Config
 	// StageWaitMillis is the wait hint while files stage. Default 300.
 	StageWaitMillis uint32
-	// DataWorkers bounds how many pipelined requests one data-plane
-	// connection may execute concurrently (stream-multiplexed dispatch,
-	// DESIGN.md §8). 1 restores strictly serial per-connection service.
-	// Default 8 on servers, 16 on redirectors (whose handlers may block
-	// in the fast response queue for a full delay).
+	// DataWorkers sizes the node's data-plane scheduler: how many
+	// requests execute concurrently across all of its data connections
+	// (DESIGN.md §11). Default 8 on servers, 16 on redirectors (whose
+	// handlers may block in the fast response queue for a full delay).
 	DataWorkers int
 	// DispatchQueue bounds queued-but-not-executing data-plane requests
 	// across all of the node's data connections; arrivals beyond it shed
@@ -347,7 +346,7 @@ func (n *Node) childConn(conn transport.Conn) {
 	}
 	defer n.untrack(conn)
 	defer conn.Close()
-	f, err := transport.RecvFrame(conn)
+	f, err := conn.RecvFrame()
 	if err != nil {
 		return
 	}
@@ -413,7 +412,7 @@ func (n *Node) childConn(conn transport.Conn) {
 	n.core.MemberUp(idx)
 
 	for {
-		f, err := transport.RecvFrame(conn)
+		f, err := conn.RecvFrame()
 		if err != nil {
 			break
 		}
@@ -639,7 +638,7 @@ func (n *Node) runParentConn(parent string, conn transport.Conn) parentResult {
 	}
 	replyCh := make(chan recvResult, 1)
 	go func() {
-		f, err := transport.RecvFrame(conn)
+		f, err := conn.RecvFrame()
 		replyCh <- recvResult{f, err}
 	}()
 	var f *proto.Frame
@@ -651,7 +650,7 @@ func (n *Node) runParentConn(parent string, conn transport.Conn) parentResult {
 		f = r.f
 	case <-n.cfg.Clock.After(n.cfg.LoginTimeout):
 		n.cfg.Logf("cmsd %s: login to %s timed out", n.cfg.Name, parent)
-		conn.Close() // unblocks the Recv goroutine
+		conn.Close() // unblocks the receive goroutine
 		return parentResult{}
 	case <-n.stop:
 		conn.Close()
@@ -681,7 +680,7 @@ func (n *Node) runParentConn(parent string, conn transport.Conn) parentResult {
 	n.cfg.Logf("cmsd %s: logged into %s as index %d", n.cfg.Name, parent, res.index)
 
 	for {
-		f, err := transport.RecvFrame(conn)
+		f, err := conn.RecvFrame()
 		if err != nil {
 			return res
 		}
@@ -787,8 +786,7 @@ func (n *Node) redirectorConn(conn transport.Conn) {
 	}
 	defer n.untrack(conn)
 	defer conn.Close()
-	mux.Serve(conn, n.redirectorRequest, mux.ServeOptions{
-		Sched:  n.dataSched,
+	n.dataSched.Serve(conn, n.redirectorRequest, mux.ServeOptions{
 		Tracer: n.cfg.Tracer,
 		OnError: func(err error) {
 			n.cfg.Logf("cmsd %s: bad data-plane frame from %s: %v", n.cfg.Name, conn.RemoteAddr(), err)

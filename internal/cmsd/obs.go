@@ -12,8 +12,8 @@ import (
 
 // Frame assembles the node's current summary-monitoring frame.
 // Redirector roles report cache/respq/cluster/resolution state; server
-// roles report their data plane. Both report transport counters when
-// the node runs over a transport.CountingNetwork.
+// roles report their data plane. Both report the wire counters of
+// their network when it keeps them (transport.WireOf).
 func (n *Node) Frame() obs.Frame {
 	f := obs.Frame{Node: n.cfg.Name, Role: n.cfg.Role.String()}
 	if c := n.core; c != nil {
@@ -77,10 +77,6 @@ func (n *Node) Frame() obs.Frame {
 	}
 	if n.dataSched != nil {
 		f.Sched = n.dataSched.Summary()
-	}
-	if cn, ok := n.cfg.Net.(*transport.CountingNetwork); ok {
-		s := cn.Stats()
-		f.Net = &obs.NetSummary{FramesSent: s.FramesSent, BytesSent: s.BytesSent, Dials: s.Dials}
 	}
 	if w, ok := transport.WireOf(n.cfg.Net); ok {
 		f.Wire = w.Summary()

@@ -32,7 +32,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cnet := transport.Counting(transport.NewInProc(transport.InProcConfig{}))
+	cnet := transport.NewInProc(transport.InProcConfig{})
 	tracer := obs.NewTracer(128, nil)
 	tracer.SetEnabled(true)
 
@@ -161,8 +161,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if f.RespQ == nil {
 		t.Fatal("frame missing respq section")
 	}
-	if f.Net == nil || f.Net.FramesSent == 0 {
-		t.Fatalf("frame missing transport counters: %+v", f.Net)
+	if f.Wire == nil || f.Wire.FramesOut == 0 || f.Wire.Dials == 0 {
+		t.Fatalf("frame missing wire counters: %+v", f.Wire)
 	}
 	op, ok := f.Ops["resolve.latency"]
 	if !ok || op.Count < 2 {
@@ -174,7 +174,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// And the one-liner mon prints from it names the node and cache.
 	line := f.String()
-	for _, want := range []string{"mgr/manager", "cache=", "members=3/3", "resolve{n="} {
+	for _, want := range []string{"mgr/manager", "cache=", "members=3/3", "wire=", "resolve{n="} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("mon line %q missing %q", line, want)
 		}
@@ -184,7 +184,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 // TestServerFrameReportsDataPlane checks a server-role node's frame
 // carries its xrd counters rather than redirector sections.
 func TestServerFrameReportsDataPlane(t *testing.T) {
-	cnet := transport.Counting(transport.NewInProc(transport.InProcConfig{}))
+	cnet := transport.NewInProc(transport.InProcConfig{})
 	mgr := startManager(t, cnet, "mgr")
 	st := store.New(store.Config{})
 	st.Put("/store/x", []byte("hello"))

@@ -31,7 +31,7 @@ type server struct {
 
 	st     *store.Store
 	mgrEnd *transport.SchedConn // manager's end: queries are sent here
-	srvEnd *transport.SchedConn // server's end: loop Recvs here
+	srvEnd *transport.SchedConn // server's end: loop receives here
 	idle   chan struct{}
 }
 
@@ -73,11 +73,12 @@ func (sv *server) login() {
 // it, repeat. It exits when the scheduler closes the endpoint.
 func (sv *server) loop() {
 	for {
-		frame, err := sv.srvEnd.Recv()
+		f, err := sv.srvEnd.RecvFrame()
 		if err != nil {
 			return
 		}
-		m, err := proto.Unmarshal(frame)
+		m, err := proto.Unmarshal(f.Bytes())
+		f.Release()
 		if err != nil {
 			continue
 		}

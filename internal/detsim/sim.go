@@ -223,7 +223,7 @@ func (s *Sim) buildServers() {
 		s.servers = append(s.servers, sv)
 		sv.login()
 		go sv.loop()
-		<-sv.idle // server parked at Recv: the link is up
+		<-sv.idle // server parked at RecvFrame: the link is up
 	}
 }
 

@@ -33,7 +33,7 @@ func E14Registration(s Scale) Table {
 	}
 
 	// ---- Scalla arm -------------------------------------------------
-	cn := transport.Counting(transport.NewInProc(transport.InProcConfig{}))
+	cn := transport.NewInProc(transport.InProcConfig{})
 	start := time.Now()
 	cl, err := scalla.StartCluster(scalla.Options{
 		Servers:    nServers,
@@ -59,9 +59,9 @@ func E14Registration(s Scale) Table {
 		t.Notes = append(t.Notes, fmt.Sprintf("scalla first resolve: %v", err))
 	}
 	scallaTime := time.Since(start)
-	scallaStats := cn.Stats()
-	scallaFrames := scallaStats.FramesSent
-	scallaBytes := scallaStats.BytesSent
+	scallaWire := cn.Wire()
+	scallaFrames := scallaWire.FramesOut
+	scallaBytes := scallaWire.BytesOut
 	c.Close()
 	cl.Stop()
 	t.Rows = append(t.Rows, []string{
@@ -70,7 +70,7 @@ func E14Registration(s Scale) Table {
 	})
 
 	// ---- GFS-style arm ----------------------------------------------
-	gn := transport.Counting(transport.NewInProc(transport.InProcConfig{}))
+	gn := transport.NewInProc(transport.InProcConfig{})
 	master := baseline.NewGFSMaster(gn, "master")
 	if err := master.Start(); err != nil {
 		t.Notes = append(t.Notes, err.Error())
@@ -94,13 +94,14 @@ func E14Registration(s Scale) Table {
 		t.Notes = append(t.Notes, fmt.Sprintf("gfs lookup: %v", err))
 	}
 	gfsTime := time.Since(start)
+	gfsWire := gn.Wire()
 	t.Rows = append(t.Rows, []string{
 		"gfs-style manifest", fmt.Sprint(nServers), fmt.Sprint(filesPer),
-		fmtMs(gfsTime), fmt.Sprint(gn.Stats().FramesSent), fmt.Sprint(gn.Stats().BytesSent),
+		fmtMs(gfsTime), fmt.Sprint(gfsWire.FramesOut), fmt.Sprint(gfsWire.BytesOut),
 	})
 	if scallaBytes > 0 {
 		t.Rows = append(t.Rows, []string{"wire-bytes ratio", "", "",
-			"", "", fmt.Sprintf("%.0fx", float64(gn.Stats().BytesSent)/float64(scallaBytes))})
+			"", "", fmt.Sprintf("%.0fx", float64(gfsWire.BytesOut)/float64(scallaBytes))})
 	}
 	t.Notes = append(t.Notes,
 		"scalla's wire cost is independent of file count; the manifest scheme moves every name")

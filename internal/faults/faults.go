@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"scalla/internal/obs"
-	"scalla/internal/proto"
 	"scalla/internal/transport"
 )
 
@@ -399,12 +398,6 @@ func (fc *faultConn) flushHeld(frame []byte) error {
 		return fc.Conn.Send(held)
 	}
 	return nil
-}
-
-// RecvFrame forwards the wrapped connection's pooled receive path;
-// faults are injected on the send side only.
-func (fc *faultConn) RecvFrame() (*proto.Frame, error) {
-	return transport.RecvFrame(fc.Conn)
 }
 
 func (fc *faultConn) Close() error {

@@ -32,11 +32,12 @@ func startSink(t *testing.T, net transport.Network, addr string) *sink {
 			return
 		}
 		for {
-			f, err := c.Recv()
+			f, err := c.RecvFrame()
 			if err != nil {
 				return
 			}
-			msg := string(f)
+			msg := string(f.Bytes())
+			f.Release()
 			s.frames <- msg
 			if msg == "END" {
 				return
@@ -178,8 +179,8 @@ func TestSeverHealLifecycle(t *testing.T) {
 		t.Fatal("Severed = false after Sever")
 	}
 	// Both endpoints of the live link must observe the cut.
-	if _, err := srv.Recv(); err == nil {
-		t.Fatal("server Recv succeeded on severed link")
+	if _, err := srv.RecvFrame(); err == nil {
+		t.Fatal("server RecvFrame succeeded on severed link")
 	}
 	if _, err := fn.Dial("victim"); err == nil {
 		t.Fatal("Dial succeeded to severed address")

@@ -48,10 +48,10 @@ func fairnessServer(t *testing.T, net transport.Network, sched *Scheduler) func(
 			go func() {
 				defer wg.Done()
 				defer conn.Close()
-				Serve(conn, func(m proto.Message, r Responder) proto.Message {
+				sched.Serve(conn, func(m proto.Message, r Responder) proto.Message {
 					fairnessSleep(r.Stream())
 					return proto.StatOK{Exists: true}
-				}, ServeOptions{Sched: sched})
+				}, ServeOptions{})
 			}()
 		}
 	}()

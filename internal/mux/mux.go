@@ -16,12 +16,11 @@
 //     every in-flight stream with an error matching ErrClosed. A Pool
 //     shares one Conn per remote address.
 //
-//   - The responder side: Serve reads frames from a connection,
-//     dispatches the decoded requests to a handler on a bounded worker
-//     pool, and writes stream-tagged replies back as they complete —
-//     out of order when handlers finish out of order. A serial mode
-//     (Workers <= 1) preserves the old one-at-a-time semantics for
-//     deterministic harnesses.
+//   - The responder side: a server-wide Scheduler serves each
+//     connection (Scheduler.Serve), running the decoded requests on
+//     its worker pool under lane priority and DRR fairness, and
+//     writes stream-tagged replies back as they complete — out of
+//     order when handlers finish out of order.
 //
 // Ownership rules: a Call started on a Conn must be finished with
 // exactly one Wait, WaitFrame, or Cancel, which is what releases its
@@ -310,12 +309,12 @@ func (mc *Conn) fail(err error) {
 
 // demux is the connection's receive loop: it routes each tagged reply
 // to its waiting call and fails everything when the transport dies.
-// Replies arrive in pooled frames (transport.RecvFrame); ownership
+// Replies arrive in pooled frames (Conn.RecvFrame); ownership
 // passes to the routed Call, and late replies to expired or cancelled
 // streams are released here.
 func (mc *Conn) demux() {
 	for {
-		f, err := transport.RecvFrame(mc.c)
+		f, err := mc.c.RecvFrame()
 		if err != nil {
 			mc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 			return

@@ -56,11 +56,12 @@ func reorderServer(t *testing.T, net transport.Network, addr string, batch int, 
 		go func() {
 			defer close(reqs)
 			for {
-				frame, err := conn.Recv()
+				f, err := conn.RecvFrame()
 				if err != nil {
 					return
 				}
-				m, sid, err := proto.UnmarshalStream(frame)
+				m, sid, err := proto.UnmarshalStream(f.Bytes())
+				f.Release()
 				if err != nil {
 					return
 				}
@@ -222,9 +223,11 @@ func TestConnDeathFailsAllStreams(t *testing.T) {
 		}
 		accepted <- c
 		for { // swallow requests, never answer
-			if _, err := c.Recv(); err != nil {
+			f, err := c.RecvFrame()
+			if err != nil {
 				return
 			}
+			f.Release()
 		}
 	}()
 

@@ -2,8 +2,8 @@ package mux
 
 // Scheduled dispatch: the overload-protection and QoS layer for the
 // responder side of the multiplexed protocol (DESIGN.md §11). A
-// Scheduler is shared by every connection a server accepts and replaces
-// the per-connection FIFO worker pool with
+// Scheduler is shared by every connection a server accepts and is the
+// only request dispatcher:
 //
 //   - a strict-priority control lane, so cluster-control frames
 //     (heartbeats, floods, subscriptions) never wait behind bulk data
@@ -27,6 +27,7 @@ import (
 	"scalla/internal/metrics"
 	"scalla/internal/obs"
 	"scalla/internal/proto"
+	"scalla/internal/transport"
 	"scalla/internal/vclock"
 )
 
@@ -190,9 +191,9 @@ func (r *jobRing) len() int   { return r.n }
 // schedClient is one registered connection's scheduling state: its
 // data-lane FIFO, DRR deficit, and position in the active ring.
 type schedClient struct {
-	st  *serveState
-	h   Handler
-	opt ServeOptions
+	conn transport.Conn
+	h    Handler
+	opt  ServeOptions
 
 	q       jobRing
 	deficit int
@@ -218,9 +219,9 @@ type schedClient struct {
 }
 
 // Scheduler is a server-wide request scheduler shared by every
-// connection passed to Serve with ServeOptions.Sched set. It owns the
-// worker pool; per-connection Serve loops only decode frames and
-// enqueue. Close it when the owning server shuts down.
+// connection it Serves. It owns the worker pool; per-connection Serve
+// loops only decode frames and enqueue. Close it when the owning server
+// shuts down.
 type Scheduler struct {
 	cfg SchedConfig
 
@@ -294,8 +295,8 @@ func (s *Scheduler) Close() {
 }
 
 // register adds one connection to the scheduler.
-func (s *Scheduler) register(st *serveState, h Handler, opt ServeOptions) *schedClient {
-	c := &schedClient{st: st, h: h, opt: opt}
+func (s *Scheduler) register(conn transport.Conn, h Handler, opt ServeOptions) *schedClient {
+	c := &schedClient{conn: conn, h: h, opt: opt}
 	s.mu.Lock()
 	s.clients++
 	s.mu.Unlock()
@@ -527,11 +528,11 @@ func (s *Scheduler) startLocked(j *job) {
 	s.disp[j.lane]++
 }
 
-// dispatch runs one scheduled job: the per-connection dispatch helper
-// split around replied(), so the outstanding count drops before the
-// reply can trigger a lock-step client's next request.
+// dispatch runs one scheduled job's handler and sends its reply,
+// calling replied() in between, so the outstanding count drops before
+// the reply can trigger a lock-step client's next request.
 func (s *Scheduler) dispatch(j job) {
-	r := Responder{st: j.c.st, sid: j.sid}
+	r := Responder{conn: j.c.conn, sid: j.sid}
 	opt := j.c.opt
 	var sp *obs.Span
 	if opt.Tracer.Enabled() {

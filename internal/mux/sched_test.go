@@ -166,6 +166,81 @@ func TestSchedUnregisterDropsQueuedAndDrains(t *testing.T) {
 	}
 }
 
+// TestServeBadFrameReportsOnceAndDrains sends a request whose handler
+// blocks, then a garbage frame: Serve must report the decode error to
+// OnError exactly once and return only after the blocked handler has
+// finished.
+func TestServeBadFrameReportsOnceAndDrains(t *testing.T) {
+	net := transport.NewInProc(transport.InProcConfig{})
+	lis, err := net.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	sched := NewScheduler(SchedConfig{Workers: 2})
+	defer sched.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // before sched.Close, which waits for the handler
+	returned := make(chan struct{})
+	var handled atomic.Bool
+	var errs atomic.Int32
+	go func() {
+		defer close(returned)
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		sched.Serve(conn, func(m proto.Message, r Responder) proto.Message {
+			close(entered)
+			<-release
+			handled.Store(true)
+			return nil
+		}, ServeOptions{OnError: func(error) { errs.Add(1) }})
+	}()
+
+	cli, err := net.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := transport.SendMessage(cli, proto.Ping{}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; i < 2; i++ {
+		if err := cli.Send([]byte{0xFF, 0xFF}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for errs.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("OnError never called for a garbage frame")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-returned:
+		t.Fatal("Serve returned while a handler was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve never returned after the handler finished")
+	}
+	if !handled.Load() {
+		t.Fatal("Serve returned before the in-flight handler finished")
+	}
+	if n := errs.Load(); n != 1 {
+		t.Fatalf("OnError called %d times, want 1", n)
+	}
+}
+
 // TestSchedServeRepliesRetryAfter runs the full scheduled Serve path
 // over a real connection: a stalled worker pool and a tiny queue must
 // produce RetryAfter replies on the wire while admitted requests still
@@ -185,11 +260,11 @@ func TestSchedServeRepliesRetryAfter(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Serve(conn, func(m proto.Message, r Responder) proto.Message {
+		sched.Serve(conn, func(m proto.Message, r Responder) proto.Message {
 			<-release
 			served.Add(1)
 			return proto.StatOK{Exists: true}
-		}, ServeOptions{Sched: sched})
+		}, ServeOptions{})
 	}()
 
 	mc, err := Dial(net, "srv", Options{MaxInFlight: 16})

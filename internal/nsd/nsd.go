@@ -114,11 +114,12 @@ func listOne(net transport.Network, addr, prefix string) ([]proto.Entry, error) 
 	if err := transport.SendMessage(c, proto.List{Prefix: prefix}); err != nil {
 		return nil, err
 	}
-	frame, err := c.Recv()
+	f, err := c.RecvFrame()
 	if err != nil {
 		return nil, err
 	}
-	m, err := proto.Unmarshal(frame)
+	m, err := proto.Unmarshal(f.Bytes())
+	f.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +166,7 @@ func (d *Daemon) Stop() {
 
 func (d *Daemon) serveConn(c transport.Conn) {
 	defer c.Close()
-	mux.Serve(c, func(m proto.Message, _ mux.Responder) proto.Message {
+	d.sched.Serve(c, func(m proto.Message, _ mux.Responder) proto.Message {
 		switch q := m.(type) {
 		case proto.List:
 			return proto.ListOK{Entries: d.List(q.Prefix)}
@@ -174,7 +175,7 @@ func (d *Daemon) serveConn(c transport.Conn) {
 		default:
 			return proto.Err{Code: proto.EInval, Msg: "nsd: expected list"}
 		}
-	}, mux.ServeOptions{Sched: d.sched})
+	}, mux.ServeOptions{})
 }
 
 // Tree renders the merged namespace under prefix as an indented tree,

@@ -112,11 +112,12 @@ func TestServeRejectsNonList(t *testing.T) {
 	}
 	defer c.Close()
 	c.Send(proto.Marshal(proto.Stat{Path: "/x"}))
-	frame, err := c.Recv()
+	f, err := c.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := proto.Unmarshal(frame)
+	m, _ := proto.Unmarshal(f.Bytes())
+	f.Release()
 	if e, ok := m.(proto.Err); !ok || e.Code != proto.EInval {
 		t.Fatalf("reply = %#v", m)
 	}

@@ -62,6 +62,7 @@ func NewHandler(st AdminState) http.Handler {
 		if st.Collect != nil {
 			f := st.Collect()
 			if wd := f.Wire; wd != nil {
+				fmt.Fprintf(w, "counter wire.dials = %d\n", wd.Dials)
 				fmt.Fprintf(w, "counter wire.writevs = %d\n", wd.Writevs)
 				fmt.Fprintf(w, "counter wire.frames_out = %d\n", wd.FramesOut)
 				fmt.Fprintf(w, "counter wire.bytes_out = %d\n", wd.BytesOut)

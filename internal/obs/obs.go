@@ -149,20 +149,15 @@ type SchedSummary struct {
 	DataWait OpSummary `json:"data_wait"` // data-lane queue wait
 }
 
-// NetSummary carries the transport-layer frame/byte counters.
-type NetSummary struct {
-	FramesSent int64 `json:"frames_sent"`
-	BytesSent  int64 `json:"bytes_sent"`
-	Dials      int64 `json:"dials"`
-}
-
-// WireSummary carries the TCP transport's syscall-amortization
-// counters: how well sends coalesce into vectored-write batches and how
-// many frames each read syscall yields. An operator judges the wire
-// path here — frames_per_writev near 1 under a pipelined load means
-// sends are arriving lock-step (no overlap to harvest); climbing means
-// group commit is batching them.
+// WireSummary carries the transport's counters: dials, frames and
+// bytes sent, and on TCP the syscall-amortization counters — how well
+// sends coalesce into vectored-write batches and how many frames each
+// read syscall yields. An operator judges the wire path here —
+// frames_per_writev near 1 under a pipelined load means sends are
+// arriving lock-step (no overlap to harvest); climbing means group
+// commit is batching them.
 type WireSummary struct {
+	Dials           int64   `json:"dials"`             // outbound connections
 	Writevs         int64   `json:"writevs"`           // vectored write syscalls
 	FramesOut       int64   `json:"frames_out"`        // frames sent
 	BytesOut        int64   `json:"bytes_out"`         // bytes sent (incl. prefixes)
@@ -205,7 +200,6 @@ type Frame struct {
 	Store    *StoreSummary        `json:"store,omitempty"`
 	PCache   *PCacheSummary       `json:"pcache,omitempty"`
 	Sched    *SchedSummary        `json:"sched,omitempty"`
-	Net      *NetSummary          `json:"net,omitempty"`
 	Wire     *WireSummary         `json:"wire,omitempty"`
 	Ops      map[string]OpSummary `json:"ops,omitempty"`
 	Counters map[string]int64     `json:"counters,omitempty"`
@@ -310,12 +304,12 @@ func (f Frame) String() string {
 		fmt.Fprintf(&b, " sched=%dq/%dr shed=%d ctl_p99=%dµs data_p99=%dµs",
 			s.QueuedData, s.InFlight, s.Shed, s.CtlWait.P99US, s.DataWait.P99US)
 	}
-	if n := f.Net; n != nil {
-		fmt.Fprintf(&b, " net=%df/%dB", n.FramesSent, n.BytesSent)
-	}
 	if w := f.Wire; w != nil {
-		fmt.Fprintf(&b, " wire=%dwv(%.2ff/wv) in=%drd(%.2ff/rd)",
-			w.Writevs, w.FramesPerWritev, w.ReadCalls, w.FramesPerRead)
+		fmt.Fprintf(&b, " wire=%df/%dB", w.FramesOut, w.BytesOut)
+		if w.Writevs > 0 || w.ReadCalls > 0 {
+			fmt.Fprintf(&b, " wv=%d(%.2ff/wv) rd=%d(%.2ff/rd)",
+				w.Writevs, w.FramesPerWritev, w.ReadCalls, w.FramesPerRead)
+		}
 	}
 	if op, ok := f.Ops["resolve.latency"]; ok {
 		fmt.Fprintf(&b, " resolve{n=%d p50=%dµs p99=%dµs}", op.Count, op.P50US, op.P99US)

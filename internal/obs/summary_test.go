@@ -53,7 +53,7 @@ func TestFrameEncodeParseRoundtrip(t *testing.T) {
 	if got.Ops["resolve.latency"].P99US != 480 {
 		t.Fatalf("ops mismatch: %+v", got.Ops)
 	}
-	if got.Data != nil || got.Net != nil {
+	if got.Data != nil || got.Wire != nil {
 		t.Fatal("absent sections should stay nil")
 	}
 }
@@ -83,12 +83,20 @@ func TestFrameString(t *testing.T) {
 		Data: &DataSummary{OpenHandles: 2, Reads: 7, Writes: 1},
 		Sched: &SchedSummary{QueuedData: 3, InFlight: 2, Shed: 5,
 			CtlWait: OpSummary{P99US: 10}, DataWait: OpSummary{P99US: 250}},
-		Net: &NetSummary{FramesSent: 40, BytesSent: 1234}}
+		Wire: &WireSummary{FramesOut: 40, BytesOut: 1234}}
 	s = srv.String()
-	for _, want := range []string{"srv1/server", "handles=2 reads=7 writes=1", "sched=3q/2r shed=5 ctl_p99=10µs data_p99=250µs", "net=40f/1234B"} {
+	for _, want := range []string{"srv1/server", "handles=2 reads=7 writes=1", "sched=3q/2r shed=5 ctl_p99=10µs data_p99=250µs", "wire=40f/1234B"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("server String() = %q, missing %q", s, want)
 		}
+	}
+	// Syscall counters appear only for a network that makes syscalls.
+	if strings.Contains(s, "wv=") {
+		t.Fatalf("in-process wire section printed syscall counters: %q", s)
+	}
+	srv.Wire.Writevs, srv.Wire.FramesPerWritev = 20, 2
+	if s = srv.String(); !strings.Contains(s, "wire=40f/1234B wv=20(2.00f/wv)") {
+		t.Fatalf("TCP wire section = %q", s)
 	}
 }
 

@@ -25,10 +25,12 @@ func allocRig(tb testing.TB) (*Proxy, uint64) {
 	tb.Cleanup(p.Close)
 	// Bind a read handle and make every block resident without a
 	// downstream connection: drive dispatch directly.
-	reply, fh := p.open(proto.Open{Path: "/big"})
-	if _, okr := reply.(proto.OpenOK); !okr {
+	reply := p.open(proto.Open{Path: "/big"}, handleSet{})
+	ok, isOK := reply.(proto.OpenOK)
+	if !isOK {
 		tb.Fatalf("open: %#v", reply)
 	}
+	fh := ok.FH
 	h := p.handleFor(fh)
 	for off := int64(0); off < int64(len(data)); off += int64(p.cfg.BlockSize) {
 		if msg := p.fill(h, proto.Read{FH: fh, Off: off, N: uint32(p.cfg.BlockSize)}); msg != nil {

@@ -77,10 +77,12 @@ func TestDetsimProxyEpochInvariant(t *testing.T) {
 		}
 
 		// Bind a handle against the current (soon-to-be-stale) epoch.
-		reply, fh := p.open(proto.Open{Path: path})
-		if _, ok := reply.(proto.OpenOK); !ok {
+		reply := p.open(proto.Open{Path: path}, handleSet{})
+		ok, isOK := reply.(proto.OpenOK)
+		if !isOK {
 			t.Fatalf("seed %d round %d: open: %#v", seed, round, reply)
 		}
+		fh := ok.FH
 
 		// Mutate behind the proxy's back: new generation, possibly on a
 		// different server, then advance the old holder's epoch.

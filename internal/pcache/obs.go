@@ -158,10 +158,6 @@ func (p *Proxy) Frame() obs.Frame {
 		Conn:      obs.TrimConn(conn[:]),
 	}
 	f.Sched = p.sched.Summary()
-	if cn, ok := p.cfg.Net.(*transport.CountingNetwork); ok {
-		ns := cn.Stats()
-		f.Net = &obs.NetSummary{FramesSent: ns.FramesSent, BytesSent: ns.BytesSent, Dials: ns.Dials}
-	}
 	if w, ok := transport.WireOf(p.cfg.Net); ok {
 		f.Wire = w.Summary()
 	}

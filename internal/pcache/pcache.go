@@ -196,7 +196,12 @@ type phandle struct {
 	path string
 	ent  *entry       // read path; re-bound by fill when it goes stale
 	pass *client.File // write/create path; nil for cached handles
+	own  handleSet    // the opening connection's set; guarded by Proxy.hmu
 }
+
+// handleSet holds the handles one downstream connection opened and has
+// not closed, so its disconnect can drop them. Guarded by Proxy.hmu.
+type handleSet map[uint64]struct{}
 
 // New constructs a Proxy without starting its listener; most callers
 // want Start.
@@ -342,30 +347,26 @@ func (p *Proxy) handleConn(conn transport.Conn) {
 		conn.Close()
 	}()
 	// Handles are per-connection: a dropped client leaks nothing, and
-	// its pass-through upstream files are closed with it.
-	var mineMu sync.Mutex
-	var mine []uint64
+	// its pass-through upstream files are closed with it. close prunes
+	// the set, so a long-lived connection holds only its open handles.
+	own := handleSet{}
 	defer func() {
-		mineMu.Lock()
-		fhs := mine
-		mineMu.Unlock()
+		p.hmu.Lock()
+		fhs := make([]uint64, 0, len(own))
+		for fh := range own {
+			fhs = append(fhs, fh)
+		}
+		p.hmu.Unlock()
 		for _, fh := range fhs {
 			p.dropHandle(fh)
 		}
 	}()
-	mux.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
+	p.sched.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
 		if p.closed.Load() {
 			return nil
 		}
-		reply, opened := p.dispatch(msg, r)
-		if opened != 0 {
-			mineMu.Lock()
-			mine = append(mine, opened)
-			mineMu.Unlock()
-		}
-		return reply
+		return p.dispatch(msg, r, own)
 	}, mux.ServeOptions{
-		Sched:  p.sched,
 		Tracer: p.cfg.Tracer,
 		OnError: func(err error) {
 			p.cfg.Logf("pcache: bad frame from %s: %v", conn.RemoteAddr(), err)
@@ -373,43 +374,44 @@ func (p *Proxy) handleConn(conn transport.Conn) {
 	})
 }
 
-// dispatch handles one downstream request, returning the reply and,
-// for successful opens, the issued handle. Cached reads reply through
-// the responder's single-copy frame path and return nil.
-func (p *Proxy) dispatch(msg proto.Message, r mux.Responder) (reply proto.Message, opened uint64) {
+// dispatch handles one downstream request on a connection whose handles
+// are own. Cached reads reply through the responder's single-copy frame
+// path and return nil.
+func (p *Proxy) dispatch(msg proto.Message, r mux.Responder, own handleSet) proto.Message {
 	switch m := msg.(type) {
 	case proto.Open:
-		return p.open(m)
+		return p.open(m, own)
 	case proto.Read:
-		return p.read(m, r), 0
+		return p.read(m, r)
 	case proto.Write:
-		return p.write(m), 0
+		return p.write(m)
 	case proto.Trunc:
-		return p.trunc(m), 0
+		return p.trunc(m)
 	case proto.Close:
-		return p.closeHandle(m), 0
+		return p.closeHandle(m)
 	case proto.Stat:
-		return p.stat(m), 0
+		return p.stat(m)
 	case proto.Locate:
-		return p.locateDown(m), 0
+		return p.locateDown(m)
 	case proto.Unlink:
-		return p.unlink(m), 0
+		return p.unlink(m)
 	case proto.Prepare:
-		return p.prepare(m), 0
+		return p.prepare(m)
 	case proto.Ping:
-		return proto.Pong{}, 0
+		return proto.Pong{}
 	case proto.List:
-		return proto.Err{Code: proto.EInval, Msg: "pcache: listings are not proxied"}, 0
+		return proto.Err{Code: proto.EInval, Msg: "pcache: listings are not proxied"}
 	default:
-		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}, 0
+		return proto.Err{Code: proto.EInval, Msg: "unexpected message"}
 	}
 }
 
 // open answers a downstream Open. Read opens bind to a cached entry —
 // on a hit no frame reaches the origin at all; write and create opens
 // pass through to the origin via the upstream client, invalidating any
-// cached state for the path.
-func (p *Proxy) open(m proto.Open) (proto.Message, uint64) {
+// cached state for the path. A successful open issues a handle into
+// own.
+func (p *Proxy) open(m proto.Open, own handleSet) proto.Message {
 	outcome := "error"
 	sp := p.cfg.Tracer.Start("pcache.open", m.Path)
 	defer func() { sp.End(outcome) }()
@@ -422,27 +424,27 @@ func (p *Proxy) open(m proto.Open) (proto.Message, uint64) {
 			f, err = p.up.OpenWrite(m.Path)
 		}
 		if err != nil {
-			return errReply(err), 0
+			return errReply(err)
 		}
 		p.invalidatePath(m.Path)
 		outcome = "write-through"
-		fh := p.issueHandle(&phandle{path: m.Path, pass: f})
-		return proto.OpenOK{FH: fh, Size: f.Size()}, fh
+		fh := p.issueHandle(&phandle{path: m.Path, pass: f, own: own})
+		return proto.OpenOK{FH: fh, Size: f.Size()}
 	}
 	if ent := p.liveEntry(m.Path); ent != nil {
 		p.st.openHits.Add(1)
 		outcome = "hit " + ent.addr
-		fh := p.issueHandle(&phandle{path: m.Path, ent: ent})
-		return proto.OpenOK{FH: fh, Size: ent.size}, fh
+		fh := p.issueHandle(&phandle{path: m.Path, ent: ent, own: own})
+		return proto.OpenOK{FH: fh, Size: ent.size}
 	}
 	p.st.openMisses.Add(1)
 	ent, msg := p.resolveEntry(m.Path)
 	if msg != nil {
-		return msg, 0
+		return msg
 	}
 	outcome = "miss " + ent.addr
-	fh := p.issueHandle(&phandle{path: m.Path, ent: ent})
-	return proto.OpenOK{FH: fh, Size: ent.size}, fh
+	fh := p.issueHandle(&phandle{path: m.Path, ent: ent, own: own})
+	return proto.OpenOK{FH: fh, Size: ent.size}
 }
 
 // read answers a downstream Read: from the block cache when resident,
@@ -608,11 +610,14 @@ func (p *Proxy) prepare(m proto.Prepare) proto.Message {
 
 // ------------------------------------------------------------ handles
 
+// issueHandle registers h under a fresh handle and records it in the
+// opening connection's set.
 func (p *Proxy) issueHandle(h *phandle) uint64 {
 	p.hmu.Lock()
 	p.nextFH++
 	fh := p.nextFH
 	p.handles[fh] = h
+	h.own[fh] = struct{}{}
 	p.hmu.Unlock()
 	return fh
 }
@@ -628,6 +633,9 @@ func (p *Proxy) dropHandle(fh uint64) {
 	p.hmu.Lock()
 	h := p.handles[fh]
 	delete(p.handles, fh)
+	if h != nil {
+		delete(h.own, fh)
+	}
 	p.hmu.Unlock()
 	if h != nil && h.pass != nil {
 		h.pass.Close()

@@ -10,6 +10,7 @@ import (
 	"scalla/internal/cache"
 	"scalla/internal/client"
 	"scalla/internal/cmsd"
+	"scalla/internal/mux"
 	"scalla/internal/proto"
 	"scalla/internal/respq"
 	"scalla/internal/store"
@@ -250,6 +251,63 @@ func TestProxySmallFileKeepsHandle(t *testing.T) {
 	}
 	if handles() != 0 {
 		t.Fatalf("proxy holds %d handles after close", handles())
+	}
+}
+
+// TestCloseFreesConnectionHandles checks that close prunes the opening
+// connection's handle set: 10 000 open/close pairs leave it empty, so a
+// long-lived downstream connection does not grow it, and a disconnect
+// still drops the handles left open.
+func TestCloseFreesConnectionHandles(t *testing.T) {
+	const pairs = 10000
+	o := startOrigin(t, 1)
+	if err := o.stores[0].Put("/store/f", payload(5, 100)); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := startProxy(t, o, Config{})
+	handles := func() int {
+		p.hmu.Lock()
+		defer p.hmu.Unlock()
+		return len(p.handles)
+	}
+	own := handleSet{}
+	for i := 0; i < pairs; i++ {
+		ok, isOK := p.dispatch(proto.Open{Path: "/store/f"}, mux.Responder{}, own).(proto.OpenOK)
+		if !isOK {
+			t.Fatal("open failed")
+		}
+		if _, isOK := p.dispatch(proto.Close{FH: ok.FH}, mux.Responder{}, own).(proto.CloseOK); !isOK {
+			t.Fatal("close failed")
+		}
+	}
+	if len(own) != 0 || handles() != 0 {
+		t.Fatalf("after %d open/close pairs: %d handles in the connection set, %d in the proxy", pairs, len(own), handles())
+	}
+
+	conn, err := o.net.Dial(p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := transport.SendMessage(conn, proto.Open{Path: "/store/f"}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.RecvFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	if handles() != 3 {
+		t.Fatalf("proxy holds %d handles, want 3", handles())
+	}
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for handles() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("handles leaked after disconnect")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

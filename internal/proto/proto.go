@@ -548,7 +548,7 @@ func (r *reader) bytes() []byte {
 // rawBytes32 reads a fixed-width u32 length followed by that many raw
 // bytes — the tail layout of a Data frame. The returned slice aliases
 // the frame rather than copying it: every transport's Send copies, so
-// a frame handed out by Recv is exclusively the receiver's, and the
+// a frame handed out by RecvFrame is exclusively the receiver's, and the
 // data plane saves one payload-sized copy + allocation per Read.
 // Callers that outlive the frame must copy.
 func (r *reader) rawBytes32() []byte {
@@ -662,10 +662,10 @@ func CopyFrame(b []byte) *Frame {
 	return f
 }
 
-// WrapFrame adopts b as a frame's backing buffer without copying. It
-// lets pooled-frame consumers accept bytes from an allocating source
-// (a transport without a pooled receive path); Release will recycle b
-// into the pool, so the caller must own b outright.
+// WrapFrame adopts b as a frame's backing buffer without copying, for a
+// receive path whose bytes are already a private copy (the
+// deterministic-simulation transport's SchedConn). Release will recycle
+// b into the pool, so the caller must own b outright.
 func WrapFrame(b []byte) *Frame {
 	f := framePool.Get().(*Frame)
 	f.b = b

@@ -3,6 +3,8 @@ package transport
 import (
 	"io"
 	"sync"
+
+	"scalla/internal/proto"
 )
 
 // schedInboxLen bounds the frames a SchedConn endpoint can hold before
@@ -19,12 +21,12 @@ const schedInboxLen = 1024
 //   - Send does not transmit. It copies the frame and hands it to the
 //     pair's send hook; the scheduler decides if and when the frame
 //     reaches the peer, by calling Push on the peer endpoint.
-//   - Recv blocks until a frame is Pushed. An optional receive hook runs
+//   - RecvFrame blocks until a frame is Pushed. An optional receive hook runs
 //     just before blocking, which the harness uses as the "this
 //     goroutine is idle again" handshake.
 //
-// A SchedConn is created only in pairs via NewSchedPair. Send and Recv
-// follow the Conn contract (one concurrent caller each); Push is called
+// A SchedConn is created only in pairs via NewSchedPair. Send and
+// RecvFrame follow the Conn contract (one concurrent caller each); Push is called
 // by the scheduler goroutine.
 type SchedConn struct {
 	name     string
@@ -58,7 +60,7 @@ func (c *SchedConn) Name() string { return c.name }
 // Peer returns the other endpoint of the pair.
 func (c *SchedConn) Peer() *SchedConn { return c.peer }
 
-// SetRecvHook installs fn to be invoked by Recv immediately before it
+// SetRecvHook installs fn to be invoked by RecvFrame immediately before it
 // blocks for the next frame. The harness parks an "idle" signal here.
 // Install hooks before the endpoint is used; the field is not
 // synchronized.
@@ -83,28 +85,29 @@ func (c *SchedConn) Send(frame []byte) error {
 	return c.onSend(c, cp)
 }
 
-// Recv blocks until the scheduler Pushes a frame to this endpoint,
-// running the receive hook (if any) first. It returns io.EOF once the
+// RecvFrame blocks until the scheduler Pushes a frame to this endpoint,
+// running the receive hook (if any) first, and adopts the pushed slice
+// (the copy Send made) as the frame's buffer. It returns io.EOF once the
 // endpoint is closed and its inbox drained.
-func (c *SchedConn) Recv() ([]byte, error) {
+func (c *SchedConn) RecvFrame() (*proto.Frame, error) {
 	if c.recvHook != nil {
 		c.recvHook()
 	}
 	select {
 	case f := <-c.inbox:
-		return f, nil
+		return proto.WrapFrame(f), nil
 	case <-c.closed:
 		// Drain anything already delivered before reporting EOF.
 		select {
 		case f := <-c.inbox:
-			return f, nil
+			return proto.WrapFrame(f), nil
 		default:
 		}
 		return nil, io.EOF
 	}
 }
 
-// Push makes frame available to this endpoint's Recv. It reports false —
+// Push makes frame available to this endpoint's RecvFrame. It reports false —
 // the frame is discarded — when the endpoint is closed or its inbox is
 // full. Only the scheduler calls Push.
 func (c *SchedConn) Push(frame []byte) bool {
@@ -121,7 +124,7 @@ func (c *SchedConn) Push(frame []byte) bool {
 	}
 }
 
-// Close shuts this endpoint down: its pending and future Recvs unblock
+// Close shuts this endpoint down: its pending and future receives unblock
 // with io.EOF (after draining), and Sends fail. The peer endpoint is
 // unaffected — the scheduler models half-open links explicitly.
 func (c *SchedConn) Close() error {

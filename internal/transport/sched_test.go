@@ -30,10 +30,11 @@ func TestSchedConnSendGoesToHookNotPeer(t *testing.T) {
 	if !b.Push(captured[0]) {
 		t.Fatal("Push refused")
 	}
-	got, err := b.Recv()
-	if err != nil || !bytes.Equal(got, []byte("q1")) {
-		t.Fatalf("Recv = %q, %v", got, err)
+	got, err := b.RecvFrame()
+	if err != nil || !bytes.Equal(got.Bytes(), []byte("q1")) {
+		t.Fatalf("RecvFrame = %v, %v", got, err)
 	}
+	got.Release()
 }
 
 func TestSchedConnSendCopiesFrame(t *testing.T) {
@@ -58,12 +59,14 @@ func TestSchedConnRecvHookRunsBeforeBlocking(t *testing.T) {
 	b.SetRecvHook(func() { idle <- struct{}{} })
 	go func() {
 		for {
-			if _, err := b.Recv(); err != nil {
+			f, err := b.RecvFrame()
+			if err != nil {
 				return
 			}
+			f.Release()
 		}
 	}()
-	<-idle // hook fired: the receiver is parked at Recv
+	<-idle // hook fired: the receiver is parked at RecvFrame
 	if err := a.Send([]byte("f")); err != nil {
 		t.Fatal(err) // nil hook delivers directly
 	}
@@ -78,11 +81,12 @@ func TestSchedConnCloseUnblocksAndDrains(t *testing.T) {
 	}
 	b.Close()
 	// The queued frame is drained first, then EOF.
-	got, err := b.Recv()
-	if err != nil || string(got) != "last" {
-		t.Fatalf("Recv = %q, %v", got, err)
+	got, err := b.RecvFrame()
+	if err != nil || string(got.Bytes()) != "last" {
+		t.Fatalf("RecvFrame = %v, %v", got, err)
 	}
-	if _, err := b.Recv(); err != io.EOF {
+	got.Release()
+	if _, err := b.RecvFrame(); err != io.EOF {
 		t.Fatalf("err = %v, want io.EOF", err)
 	}
 	if b.Push([]byte("late")) {

@@ -40,7 +40,7 @@ var ErrClosed = errors.New("transport: closed")
 // Conn is a bidirectional, frame-oriented connection. Send is safe for
 // any number of concurrent callers — implementations either serialize
 // writers internally or coalesce their frames into shared write batches
-// (the TCP conn's group-commit writer) — while Recv is safe for one
+// (the TCP conn's group-commit writer) — while RecvFrame is safe for one
 // concurrent caller. Distinct goroutines may send and receive
 // simultaneously.
 type Conn interface {
@@ -50,42 +50,22 @@ type Conn interface {
 	// returns. An implementation that retains frames asynchronously
 	// must copy them first.
 	Send(frame []byte) error
-	// Recv blocks for the next frame. It returns io.EOF after the peer
-	// closes. The returned slice is freshly allocated and owned by the
-	// caller outright; hot receive loops should prefer RecvFrame, which
-	// recycles buffers through the proto frame pool.
-	Recv() ([]byte, error)
-	// Close tears the connection down; pending Recvs unblock.
+	// RecvFrame blocks for the next frame and returns it in a pooled
+	// buffer, so a warmed receive loop allocates nothing. It returns
+	// io.EOF after the peer closes. The caller owns the frame and must
+	// Release it once every use of the frame — and of anything decoded
+	// from it whose byte fields alias it (see proto.AliasesFrame) — is
+	// over.
+	RecvFrame() (*proto.Frame, error)
+	// Close tears the connection down; pending receives unblock.
 	Close() error
 	// RemoteAddr names the peer, for logging and redirection.
 	RemoteAddr() string
 }
 
-// FrameReceiver is the pooled receive path a Conn may optionally
-// implement. RecvFrame returns the next frame in a pooled buffer that
-// the caller owns and must Release once every use of the frame — and of
-// anything decoded from it whose byte fields alias it (see
-// proto.AliasesFrame) — is over. Like Recv, it is safe for one
-// concurrent caller, and the two must not be mixed on a live
-// connection's receive side.
-type FrameReceiver interface {
-	RecvFrame() (*proto.Frame, error)
-}
-
-// RecvFrame receives the next frame from c through its pooled receive
-// path when it has one, falling back to adopting the plain Recv
-// allocation otherwise. Either way the caller owns the returned frame
-// and must Release it.
-func RecvFrame(c Conn) (*proto.Frame, error) {
-	if fr, ok := c.(FrameReceiver); ok {
-		return fr.RecvFrame()
-	}
-	b, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	return proto.WrapFrame(b), nil
-}
+// RecvFrame receives the next frame from c; it is c.RecvFrame as a
+// function.
+func RecvFrame(c Conn) (*proto.Frame, error) { return c.RecvFrame() }
 
 // Listener accepts inbound connections.
 type Listener interface {
@@ -106,9 +86,9 @@ type Network interface {
 
 // TCPNet is the production Network backed by the net package. Every
 // connection it creates shares one WireStats block, so an operator (or
-// the bench harness) can read syscall-amortization effectiveness —
-// frames per writev batch, flush reasons, frames per read call — off
-// the live network.
+// the bench harness) can read traffic and syscall-amortization
+// effectiveness — frames and bytes sent, frames per writev batch, flush
+// reasons, frames per read call — off the live network.
 type TCPNet struct {
 	stats WireStats
 }
@@ -117,7 +97,7 @@ type TCPNet struct {
 // Listen("host:0") picks a free port; Listener.Addr reports it.
 func TCP() *TCPNet { return &TCPNet{} }
 
-// Wire snapshots the network's batching counters.
+// Wire snapshots the network's wire counters.
 func (n *TCPNet) Wire() WireSnapshot { return n.stats.Snapshot() }
 
 // Listen binds a real TCP listener on addr.
@@ -135,6 +115,7 @@ func (n *TCPNet) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.stats.recordDial()
 	return newTCPConn(c, &n.stats), nil
 }
 
@@ -178,7 +159,7 @@ type wbatch struct {
 // write batches (group commit — an idle wire flushes immediately, and
 // frames arriving during a flush drain together in the next one), and
 // receives decode many frames per read syscall out of a buffered
-// reader, into pooled frames on the RecvFrame path.
+// reader, into pooled frames.
 type tcpConn struct {
 	c      net.Conn
 	stats  *WireStats
@@ -323,7 +304,7 @@ func (t *tcpConn) writeBatch(bufs net.Buffers) error {
 
 // readFrameSize reads the next frame's length prefix. An oversized
 // header is protocol-fatal: nothing after it can be framed, so the
-// connection is closed rather than left misaligned for the next Recv.
+// connection is closed rather than left misaligned for the next read.
 func (t *tcpConn) readFrameSize() (int, error) {
 	if _, err := io.ReadFull(t.br, t.rhdr[:]); err != nil {
 		return 0, err
@@ -336,24 +317,8 @@ func (t *tcpConn) readFrameSize() (int, error) {
 	return int(n), nil
 }
 
-func (t *tcpConn) Recv() ([]byte, error) {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	n, err := t.readFrameSize()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(t.br, buf); err != nil {
-		return nil, err
-	}
-	t.stats.recordFrameIn()
-	return buf, nil
-}
-
-// RecvFrame is the pooled receive path: the frame decodes into a
-// recycled buffer, so a warmed receive loop allocates nothing. The
-// caller owns the frame per the FrameReceiver contract.
+// RecvFrame decodes the next frame into a recycled buffer, so a warmed
+// receive loop allocates nothing. The caller owns the frame.
 func (t *tcpConn) RecvFrame() (*proto.Frame, error) {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
@@ -398,8 +363,12 @@ type InProcConfig struct {
 }
 
 // InProc is an in-process Network. Addresses are arbitrary strings.
+// Its connections share one WireStats block that counts dials and each
+// successful Send as one frame of len(frame) bytes; there is no length
+// prefix and no syscall, so the writev and read counters stay zero.
 type InProc struct {
-	cfg InProcConfig
+	cfg   InProcConfig
+	stats WireStats
 
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
@@ -417,6 +386,9 @@ func NewInProc(cfg InProcConfig) *InProc {
 		cut:       make(map[string]bool),
 	}
 }
+
+// Wire snapshots the network's wire counters.
+func (n *InProc) Wire() WireSnapshot { return n.stats.Snapshot() }
 
 // SetReachable with reachable=false partitions addr for new dials
 // (existing connections survive, as with a real routing change); with
@@ -462,6 +434,7 @@ func (n *InProc) Dial(addr string) (Conn, error) {
 	a, b := n.pipe(addr)
 	select {
 	case l.backlog <- b:
+		n.stats.recordDial()
 		return a, nil
 	case <-l.done:
 		return nil, ErrClosed
@@ -476,8 +449,8 @@ func (n *InProc) pipe(addr string) (*inprocConn, *inprocConn) {
 	closed := make(chan struct{})
 	var once sync.Once
 	closeFn := func() { once.Do(func() { close(closed) }) }
-	a := &inprocConn{send: ab, recv: ba, closed: closed, closeFn: closeFn, remote: addr, lat: n.cfg.Latency}
-	b := &inprocConn{send: ba, recv: ab, closed: closed, closeFn: closeFn, remote: "client", lat: n.cfg.Latency}
+	a := &inprocConn{send: ab, recv: ba, closed: closed, closeFn: closeFn, remote: addr, lat: n.cfg.Latency, stats: &n.stats}
+	b := &inprocConn{send: ba, recv: ab, closed: closed, closeFn: closeFn, remote: "client", lat: n.cfg.Latency, stats: &n.stats}
 	return a, b
 }
 
@@ -522,21 +495,29 @@ type inprocConn struct {
 	closeFn func()
 	remote  string
 	lat     time.Duration
+	stats   *WireStats
 }
 
 func (c *inprocConn) Send(b []byte) error {
 	if len(b) > MaxFrame {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b))
 	}
+	// A closed conn must refuse the frame even while its queue has room,
+	// so a send after Close never reports success.
+	select {
+	case <-c.closed:
+		return ErrClosed
+	default:
+	}
 	// Send must not retain the caller's slice after returning, so the
-	// in-flight copy lives in a pooled frame; the receive side recycles
-	// it (RecvFrame) or hands it to the GC (plain Recv).
+	// in-flight copy lives in a pooled frame that the receiver releases.
 	f := frame{f: proto.CopyFrame(b)}
 	if c.lat > 0 {
 		f.readyAt = time.Now().Add(c.lat)
 	}
 	select {
 	case c.send <- f:
+		c.stats.recordSend(len(b))
 		return nil
 	case <-c.closed:
 		f.f.Release()
@@ -544,9 +525,9 @@ func (c *inprocConn) Send(b []byte) error {
 	}
 }
 
-// recvFrame pulls the next in-flight frame, honoring the emulated link
+// RecvFrame pulls the next in-flight frame, honoring the emulated link
 // latency. The caller owns the returned frame.
-func (c *inprocConn) recvFrame() (*proto.Frame, error) {
+func (c *inprocConn) RecvFrame() (*proto.Frame, error) {
 	select {
 	case f := <-c.recv:
 		if !f.readyAt.IsZero() {
@@ -576,21 +557,6 @@ func (c *inprocConn) recvFrame() (*proto.Frame, error) {
 		}
 		return nil, io.EOF
 	}
-}
-
-func (c *inprocConn) Recv() ([]byte, error) {
-	f, err := c.recvFrame()
-	if err != nil {
-		return nil, err
-	}
-	// Plain Recv hands the bytes to the caller outright, so the buffer
-	// leaves the pool for good; pooled receive loops use RecvFrame.
-	return f.Bytes(), nil
-}
-
-// RecvFrame is the pooled receive path; the caller owns the frame.
-func (c *inprocConn) RecvFrame() (*proto.Frame, error) {
-	return c.recvFrame()
 }
 
 func (c *inprocConn) Close() error {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"scalla/internal/proto"
 )
 
 // exercise runs the common Conn contract against any Network.
@@ -45,13 +47,14 @@ func exercise(t *testing.T, n Network, addr string) {
 	if err := cli.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.Recv()
+	got, err := srv.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("got %q, want %q", got, msg)
+	if !bytes.Equal(got.Bytes(), msg) {
+		t.Fatalf("got %q, want %q", got.Bytes(), msg)
 	}
+	got.Release()
 
 	// Server → client, several frames preserving boundaries and order.
 	for i := 0; i < 10; i++ {
@@ -60,33 +63,38 @@ func exercise(t *testing.T, n Network, addr string) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		got, err := cli.Recv()
+		got, err := cli.RecvFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("frame-%d", i); string(got) != want {
-			t.Fatalf("frame %d: got %q, want %q", i, got, want)
+		if want := fmt.Sprintf("frame-%d", i); string(got.Bytes()) != want {
+			t.Fatalf("frame %d: got %q, want %q", i, got.Bytes(), want)
 		}
+		got.Release()
 	}
 
 	// Empty frame is legal.
 	if err := cli.Send(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := srv.Recv(); err != nil || len(got) != 0 {
-		t.Fatalf("empty frame: %q, %v", got, err)
+	if got, err := srv.RecvFrame(); err != nil || len(got.Bytes()) != 0 {
+		t.Fatalf("empty frame: %v, %v", got, err)
+	} else {
+		got.Release()
 	}
 
-	// Close unblocks the peer's Recv with EOF.
+	// Close unblocks the peer's RecvFrame with EOF.
 	cli.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err = srv.Recv()
+		var f *proto.Frame
+		f, err = srv.RecvFrame()
 		if err != nil {
 			break
 		}
+		f.Release()
 		if time.Now().After(deadline) {
-			t.Fatal("Recv never unblocked after peer close")
+			t.Fatal("RecvFrame never unblocked after peer close")
 		}
 	}
 	if err != io.EOF && err != ErrClosed {
@@ -170,9 +178,11 @@ func TestInProcLatency(t *testing.T) {
 
 	start := time.Now()
 	cli.Send([]byte("x"))
-	if _, err := srv.Recv(); err != nil {
+	f, err := srv.RecvFrame()
+	if err != nil {
 		t.Fatal(err)
 	}
+	f.Release()
 	if d := time.Since(start); d < 18*time.Millisecond {
 		t.Errorf("one-way delivery took %v, want >= ~20ms", d)
 	}
@@ -191,9 +201,71 @@ func TestInProcCloseDrainsPendingFrame(t *testing.T) {
 	srv := <-connCh
 	cli.Send([]byte("last words"))
 	cli.Close()
-	got, err := srv.Recv()
-	if err != nil || string(got) != "last words" {
-		t.Fatalf("lost frame sent before close: %q, %v", got, err)
+	got, err := srv.RecvFrame()
+	if err != nil || string(got.Bytes()) != "last words" {
+		t.Fatalf("lost frame sent before close: %v, %v", got, err)
+	}
+	got.Release()
+}
+
+// TestInProcWireCounters checks the in-process network's counter block:
+// one dial per successful Dial, and one frame of len(frame) bytes per
+// successful Send. A refused dial, an oversized frame and a send on a
+// closed conn count nothing.
+func TestInProcWireCounters(t *testing.T) {
+	n := NewInProc(InProcConfig{})
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	acc := make(chan Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err == nil {
+			acc <- c
+		}
+	}()
+	cli, err := n.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := <-acc
+	if _, err := n.Dial("nowhere"); err == nil {
+		t.Fatal("dial to unbound address succeeded")
+	}
+	if w := n.Wire(); w.Dials != 1 || w.FramesOut != 0 || w.Summary() != nil {
+		t.Fatalf("after one dial: %+v", w)
+	}
+
+	if err := cli.Send([]byte("12345")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Send([]byte("123")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Send(make([]byte, MaxFrame+1)); err == nil {
+		t.Fatal("oversized frame accepted")
+	}
+	w := n.Wire()
+	if w.FramesOut != 2 || w.BytesOut != 8 || w.Dials != 1 {
+		t.Fatalf("after two sends: frames=%d bytes=%d dials=%d, want 2, 8, 1", w.FramesOut, w.BytesOut, w.Dials)
+	}
+	if w.Writevs != 0 || w.ReadCalls != 0 {
+		t.Fatalf("in-process network counted syscalls: %+v", w)
+	}
+	if s := w.Summary(); s == nil || s.FramesOut != 2 || s.BytesOut != 8 || s.Dials != 1 {
+		t.Fatalf("summary = %+v, want frames=2 bytes=8 dials=1", s)
+	}
+
+	cli.Close()
+	for i := 0; i < 10; i++ {
+		if err := cli.Send([]byte("late")); err == nil {
+			t.Fatal("send on a closed conn succeeded")
+		}
+	}
+	if got := n.Wire(); got != w {
+		t.Fatalf("failed sends were counted: %+v, want %+v", got, w)
 	}
 }
 
@@ -215,14 +287,14 @@ func TestTCPLargeFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	got := make(chan []byte, 1)
+	got := make(chan *proto.Frame, 1)
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer c.Close()
-		frame, err := c.Recv()
+		frame, err := c.RecvFrame()
 		if err == nil {
 			got <- frame
 		}
@@ -241,9 +313,10 @@ func TestTCPLargeFrame(t *testing.T) {
 	}
 	select {
 	case frame := <-got:
-		if !bytes.Equal(frame, big) {
+		if !bytes.Equal(frame.Bytes(), big) {
 			t.Fatal("4 MiB frame corrupted in transit")
 		}
+		frame.Release()
 	case <-time.After(10 * time.Second):
 		t.Fatal("large frame never arrived")
 	}
@@ -265,9 +338,11 @@ func TestTCPConcurrentSenders(t *testing.T) {
 		}
 		count := 0
 		for {
-			if _, err := c.Recv(); err != nil {
+			f, err := c.RecvFrame()
+			if err != nil {
 				break
 			}
+			f.Release()
 			count++
 		}
 		done <- count

@@ -10,12 +10,14 @@ import (
 // 1, 2, 3-4, 5-8, 9-16, 17-32, 33-64, 65+.
 const batchBuckets = 8
 
-// WireStats counts the kernel-boundary work of a TCPNet: how many
-// frames and bytes crossed per writev batch and per read syscall, and
-// why each flush happened. All counters are atomics; connections of one
-// network share a single block, so the numbers describe the process's
-// whole wire footprint on that network.
+// WireStats is a network's one counter block: dials, frames and bytes
+// sent and, on TCP, the kernel-boundary work — how many frames and
+// bytes crossed per writev batch and per read syscall, and why each
+// flush happened. All counters are atomics; connections of one network
+// share a single block, so the numbers describe the process's whole
+// wire footprint on that network.
 type WireStats struct {
+	dials          atomic.Int64
 	writevs        atomic.Int64
 	framesOut      atomic.Int64
 	bytesOut       atomic.Int64
@@ -55,6 +57,16 @@ func (s *WireStats) recordFlush(frames int, bytes int, backlog bool) {
 	s.batchHist[batchBucket(frames)].Add(1)
 }
 
+// recordSend accounts one frame of n bytes sent without a writev batch
+// (the in-process network).
+func (s *WireStats) recordSend(n int) {
+	s.framesOut.Add(1)
+	s.bytesOut.Add(int64(n))
+}
+
+// recordDial accounts one successful dial.
+func (s *WireStats) recordDial() { s.dials.Add(1) }
+
 // recordRead accounts one read syscall of n bytes.
 func (s *WireStats) recordRead(n int) {
 	if s == nil || n <= 0 {
@@ -75,6 +87,7 @@ func (s *WireStats) recordFrameIn() {
 // Snapshot captures the counters.
 func (s *WireStats) Snapshot() WireSnapshot {
 	var out WireSnapshot
+	out.Dials = s.dials.Load()
 	out.Writevs = s.writevs.Load()
 	out.FramesOut = s.framesOut.Load()
 	out.BytesOut = s.bytesOut.Load()
@@ -92,12 +105,14 @@ func (s *WireStats) Snapshot() WireSnapshot {
 // WireSnapshot is a point-in-time copy of a network's WireStats, the
 // unit the obs summary frames and the bench harness report.
 type WireSnapshot struct {
+	// Dials counts successful outbound connections.
+	Dials int64
 	// Writevs counts vectored write syscalls (one per flush batch).
 	Writevs int64
-	// FramesOut and BytesOut count frames and wire bytes (including the
-	// 4-byte length prefixes) sent across all batches.
+	// FramesOut counts frames sent.
 	FramesOut int64
-	// BytesOut counts sent wire bytes.
+	// BytesOut counts sent wire bytes, including TCP's 4-byte length
+	// prefixes.
 	BytesOut int64
 	// IdleFlushes counts batches written immediately because the wire
 	// was idle — the group-commit guarantee that lock-step latency is
@@ -120,6 +135,7 @@ type WireSnapshot struct {
 // Sub returns the counter deltas since base, for interval reporting.
 func (w WireSnapshot) Sub(base WireSnapshot) WireSnapshot {
 	out := WireSnapshot{
+		Dials:          w.Dials - base.Dials,
 		Writevs:        w.Writevs - base.Writevs,
 		FramesOut:      w.FramesOut - base.FramesOut,
 		BytesOut:       w.BytesOut - base.BytesOut,
@@ -153,15 +169,16 @@ func (w WireSnapshot) MeanFramesPerRead() float64 {
 }
 
 // Summary renders the snapshot as the obs summary-frame section, for
-// daemons assembling their monitoring frames. It returns nil when the
-// wire has carried nothing, so idle sections stay out of the stream.
+// daemons assembling their monitoring frames. It returns nil when no
+// frame has moved, so idle sections stay out of the stream.
 func (w WireSnapshot) Summary() *obs.WireSummary {
-	if w.Writevs == 0 && w.ReadCalls == 0 {
+	if w.FramesOut == 0 && w.ReadCalls == 0 {
 		return nil
 	}
 	hist := make([]int64, batchBuckets)
 	copy(hist, w.BatchHist[:])
 	return &obs.WireSummary{
+		Dials:           w.Dials,
 		Writevs:         w.Writevs,
 		FramesOut:       w.FramesOut,
 		BytesOut:        w.BytesOut,
@@ -176,18 +193,11 @@ func (w WireSnapshot) Summary() *obs.WireSummary {
 	}
 }
 
-// WireOf returns the wire batching counters of the TCPNet at the root
-// of net, unwrapping counting layers; ok is false when net is not
-// TCP-backed (the in-process network has no kernel boundary to count).
+// WireOf returns net's wire counters; ok is false when net keeps none
+// (a wrapper such as the fault injector, or a test fake).
 func WireOf(net Network) (WireSnapshot, bool) {
-	for {
-		switch n := net.(type) {
-		case *TCPNet:
-			return n.Wire(), true
-		case interface{ Unwrap() Network }:
-			net = n.Unwrap()
-		default:
-			return WireSnapshot{}, false
-		}
+	if n, ok := net.(interface{ Wire() WireSnapshot }); ok {
+		return n.Wire(), true
 	}
+	return WireSnapshot{}, false
 }

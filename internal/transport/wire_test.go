@@ -107,13 +107,14 @@ func TestTCPSendToleratesShortWrites(t *testing.T) {
 		errCh <- nil
 	}()
 	for i, want := range frames {
-		got, err := srv.Recv()
+		got, err := srv.RecvFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame %d corrupted: got %d bytes, want %d", i, len(got), len(want))
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("frame %d corrupted: got %d bytes, want %d", i, len(got.Bytes()), len(want))
 		}
+		got.Release()
 	}
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestTCPSendWriteErrorFailsPendingSenders(t *testing.T) {
 // TestTCPOversizedHeaderClosesConn checks the desync fix: a frame
 // length beyond MaxFrame is protocol-fatal, so the receiver must close
 // the connection rather than resynchronize mid-garbage on the next
-// Recv.
+// read.
 func TestTCPOversizedHeaderClosesConn(t *testing.T) {
 	rawCli, rawSrv := tcpPair(t)
 	defer rawCli.Close()
@@ -195,7 +196,7 @@ func TestTCPOversizedHeaderClosesConn(t *testing.T) {
 	if _, err := rawCli.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Recv(); err == nil {
+	if _, err := srv.RecvFrame(); err == nil {
 		t.Fatal("oversized header accepted")
 	}
 	// The connection must be dead: the peer's next read sees EOF/reset

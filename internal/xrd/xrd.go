@@ -183,7 +183,7 @@ func (s *Server) handleConn(conn transport.Conn) {
 		}
 		s.mu.Unlock()
 	}()
-	mux.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
+	s.sched.Serve(conn, func(msg proto.Message, r mux.Responder) proto.Message {
 		if s.closed.Load() {
 			return nil
 		}
@@ -192,7 +192,6 @@ func (s *Server) handleConn(conn transport.Conn) {
 		s.inflight.Add(-1)
 		return reply
 	}, mux.ServeOptions{
-		Sched:  s.sched,
 		Tracer: s.cfg.Tracer,
 		OnError: func(err error) {
 			s.cfg.Logf("xrd: bad frame from %s: %v", conn.RemoteAddr(), err)

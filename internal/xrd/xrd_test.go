@@ -39,13 +39,17 @@ func rpc(t *testing.T, c transport.Conn, m proto.Message) proto.Message {
 	if err := c.Send(proto.Marshal(m)); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := c.Recv()
+	f, err := c.RecvFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := proto.Unmarshal(frame)
+	reply, err := proto.Unmarshal(f.Bytes())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A Data reply aliases the frame; it goes to the GC with the reply.
+	if !proto.AliasesFrame(reply) {
+		f.Release()
 	}
 	return reply
 }
@@ -253,9 +257,11 @@ func TestHandlesCleanedUpOnDisconnect(t *testing.T) {
 
 	conn, _ := n.Dial("xrd")
 	conn.Send(proto.Marshal(proto.Open{Path: "/f"}))
-	if _, err := conn.Recv(); err != nil {
+	f, err := conn.RecvFrame()
+	if err != nil {
 		t.Fatal(err)
 	}
+	f.Release()
 	if srv.Handles() != 1 {
 		t.Fatalf("Handles = %d", srv.Handles())
 	}
@@ -358,9 +364,11 @@ func TestBadFrameDropsConnection(t *testing.T) {
 	conn.Send([]byte{0xFF, 0xFF})
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := conn.Recv(); err != nil {
+		f, err := conn.RecvFrame()
+		if err != nil {
 			return // connection torn down, as expected
 		}
+		f.Release()
 		if time.Now().After(deadline) {
 			t.Fatal("connection survived garbage frame")
 		}

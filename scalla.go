@@ -501,7 +501,8 @@ type ProxyOptions struct {
 	BlockLifetime time.Duration
 	// OriginReadahead is the miss-fill window in blocks.
 	OriginReadahead int
-	// Workers bounds concurrent dispatch per downstream connection.
+	// Workers sizes the proxy's request scheduler: how many requests
+	// execute concurrently across all downstream connections.
 	Workers int
 	// RPCTimeout bounds one origin exchange.
 	RPCTimeout time.Duration
